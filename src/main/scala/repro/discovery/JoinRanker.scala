@@ -2,7 +2,7 @@ package repro.discovery
 
 import org.apache.spark.sql.DataFrame
 import repro.mi.MI
-import repro.sketch.{AggFn, Sketch, Sketcher, TupSk}
+import repro.sketch.{AggFn, Sketch, TupSk}
 
 /** The end-to-end discovery query the sketches exist to serve (Section I):
   * given a base table with a target column, rank candidate joinable tables by
@@ -18,22 +18,27 @@ object JoinRanker {
   final case class Ranked(name: String, estimatedMI: Double, sketchJoinSize: Int,
                           estimator: String)
 
-  /** Rank candidates by sketch-estimated MI (descending). Candidates whose
-    * sketch-join is too small to estimate (< minJoin rows) rank last with
-    * NaN estimates, mirroring the paper's "discard meaningless estimates".
+  /** Sketch-joins smaller than this are not estimated: too few rows to rank
+    * a candidate by (a ranking policy, stricter than the estimators' own
+    * size rule).
+    */
+  val MinJoin = 10
+
+  /** Rank candidates by TUPSK-estimated MI (descending). Candidates whose
+    * sketch-join has fewer than [[MinJoin]] rows rank last with NaN
+    * estimates, mirroring the paper's "discard meaningless estimates".
     */
   def rank(train: DataFrame, trainKey: String, target: String,
-           candidates: Seq[Candidate], conf: Sketch.SketchConf,
-           sketcher: Sketcher = TupSk, minJoin: Int = 10): Seq[Ranked] = {
-    val left = sketcher.sketchLeft(train, trainKey, target, conf).cache()
+           candidates: Seq[Candidate], conf: Sketch.SketchConf): Seq[Ranked] = {
+    val left = TupSk.sketchLeft(train, trainKey, target, conf).cache()
     try {
       left.count() // materialize once; every candidate reuses it
       val ranked = candidates.map { c =>
-        val right  = sketcher.sketchRight(c.df, c.key, c.value, c.agg, conf)
+        val right  = TupSk.sketchRight(c.df, c.key, c.value, c.agg, conf)
         val sample = Sketch.collectSample(Sketch.join(left, right))
         val kind   = MI.auto(sample.x, sample.y)
         val est =
-          if (sample.size < minJoin) Double.NaN
+          if (sample.size < MinJoin) Double.NaN
           else MI.estimate(kind, sample.x, sample.y)
         Ranked(c.name, est, sample.size, kind.name)
       }

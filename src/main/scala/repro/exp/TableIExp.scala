@@ -35,10 +35,9 @@ object TableIExp {
 
   def run(spark: SparkSession, n: Int = SketchN,
           triTrialsPerM: Int = 6, cdTrials: Int = 30,
-          seed: Long = 7, impl: Sketch.TopNImpl = Sketch.TopNImpl.Udaf,
-          mValues: Seq[Int] = Trinomial.MValues): Seq[Rec] = {
+          seed: Long = 7, mValues: Seq[Int] = Trinomial.MValues): Seq[Rec] = {
     spark.conf.set("spark.sql.shuffle.partitions", "8")
-    val conf = Sketch.SketchConf(n, impl)
+    val conf = Sketch.SketchConf(n)
     val out  = Seq.newBuilder[Rec]
 
     // ---- Trinomial: m sweep, estimators MLE / MixedKSG / DC-KSG ----

@@ -32,17 +32,16 @@ object TableIIExp {
   val sketchers: Seq[Sketcher] = Seq(Lv2Sk, PriSk, TupSk)
 
   def run(spark: SparkSession, collection: String, nPairs: Int = 120,
-          n: Int = SketchN, seed: Long = 11,
-          impl: Sketch.TopNImpl = Sketch.TopNImpl.Udaf): Seq[Rec] = {
+          n: Int = SketchN, seed: Long = 11): Seq[Rec] = {
     spark.conf.set("spark.sql.shuffle.partitions", "8")
-    val conf = Sketch.SketchConf(n, impl)
+    val conf = Sketch.SketchConf(n)
     val out  = Seq.newBuilder[Rec]
     for (spec <- OpenDataGen.specs(collection, nPairs, seed)) {
       val pair = OpenDataGen.generate(spark, spec)
       pair.train.cache(); pair.cand.cache()
       try {
         val agg  = if (spec.xNumeric) AggFn.Avg else AggFn.Mode
-        val kind = dispatch(spec.xNumeric, spec.yNumeric)
+        val kind = MI.auto(spec.xNumeric, spec.yNumeric)
 
         // Full-join reference estimate.
         val joined = repro.sketch.Featurize
@@ -58,21 +57,12 @@ object TableIIExp {
           val left   = sk.sketchLeft(pair.train, "k", "y", conf)
           val right  = sk.sketchRight(pair.cand, "k", "x", agg, conf)
           val sample = Sketch.collectSample(Sketch.join(left, right))
-          val est =
-            if (sample.size < 2) Double.NaN
-            else MI.estimate(kind, sample.x, sample.y)
+          val est    = MI.estimate(kind, sample.x, sample.y)
           out += Rec(collection, spec.id, sk.name, kind.name, fullSize, fullMI, sample.size, est)
         }
       } finally { pair.train.unpersist(); pair.cand.unpersist() }
     }
     out.result()
-  }
-
-  /** Estimator choice by column types (Section V, "MI Estimators"). */
-  def dispatch(xNumeric: Boolean, yNumeric: Boolean): EstimatorKind = (xNumeric, yNumeric) match {
-    case (false, false) => EstimatorKind.MLE
-    case (true, true)   => EstimatorKind.MixedKSG
-    case _              => EstimatorKind.DCKSG
   }
 
   private def fullEstimate(spark: SparkSession,

@@ -8,9 +8,6 @@ import repro.stats.SpecialFunctions.digamma
   * I(X;Y) = psi(k) + psi(N) - < psi(n_x + 1) + psi(n_y + 1) >
   * where n_x(i) counts samples with |x_j - x_i| strictly smaller than the
   * i-th sample's k-NN distance in the joint (l-inf) space.
-  *
-  * O(N^2) nearest-neighbor scan — the sketch samples this runs on are at most
-  * a few thousand points, and full-join estimates are subsampled upstream.
   */
 object Ksg {
 
@@ -18,35 +15,12 @@ object Ksg {
     val n = xs.length
     require(ys.length == n, "KSG: size mismatch")
     require(n > k + 1, s"KSG needs more than k+1=${k + 1} samples, got $n")
+    val eps = Knn.kthDistances(xs, ys, k)
     var acc = 0.0
-    val knn = new Array[Double](k)
     var i   = 0
     while (i < n) {
-      // k smallest joint distances to other points (tiny insertion heap).
-      java.util.Arrays.fill(knn, Double.PositiveInfinity)
-      var j = 0
-      while (j < n) {
-        if (j != i) {
-          val d = math.max(math.abs(xs(j) - xs(i)), math.abs(ys(j) - ys(i)))
-          if (d < knn(k - 1)) {
-            var p = k - 1
-            while (p > 0 && knn(p - 1) > d) { knn(p) = knn(p - 1); p -= 1 }
-            knn(p) = d
-          }
-        }
-        j += 1
-      }
-      val eps = knn(k - 1)
-      var nx  = 0
-      var ny  = 0
-      j = 0
-      while (j < n) {
-        if (j != i) {
-          if (math.abs(xs(j) - xs(i)) < eps) nx += 1
-          if (math.abs(ys(j) - ys(i)) < eps) ny += 1
-        }
-        j += 1
-      }
+      val nx = Knn.countCloser(xs, i, eps(i))
+      val ny = Knn.countCloser(ys, i, eps(i))
       acc += digamma(nx + 1.0) + digamma(ny + 1.0)
       i += 1
     }

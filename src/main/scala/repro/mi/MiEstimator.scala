@@ -42,50 +42,38 @@ object MI {
   val DefaultK = 3
 
   /** The paper's data-type dispatch rule (Section V, "MI Estimators"). */
-  def auto(x: ColData, y: ColData): EstimatorKind = (x.isNumeric, y.isNumeric) match {
+  def auto(xNumeric: Boolean, yNumeric: Boolean): EstimatorKind = (xNumeric, yNumeric) match {
     case (false, false) => EstimatorKind.MLE
     case (true, true)   => EstimatorKind.MixedKSG
     case _              => EstimatorKind.DCKSG
   }
 
+  def auto(x: ColData, y: ColData): EstimatorKind = auto(x.isNumeric, y.isNumeric)
+
+  /** The one "too small to estimate" rule: the k-NN estimators need more
+    * than k+1 points, MLE at least one.
+    */
+  private def minSize(kind: EstimatorKind, k: Int): Int =
+    if (kind == EstimatorKind.MLE) 1 else k + 2
+
   /** Estimate I(X;Y) in nats from a paired sample with the given estimator.
-    * Returns NaN on samples too small to estimate (fewer than 2·k points for
-    * k-NN estimators, fewer than 1 point for MLE).
+    * Returns NaN on samples below `minSize`, and when a k-NN estimator gets
+    * a string column it cannot use.
     */
   def estimate(kind: EstimatorKind, x: ColData, y: ColData, k: Int = DefaultK): Double = {
     require(x.size == y.size, s"paired sample size mismatch: ${x.size} vs ${y.size}")
-    kind match {
-      case EstimatorKind.MLE =>
-        if (x.size < 1) Double.NaN else Mle.mi(x.anyValues, y.anyValues)
-      case EstimatorKind.KSG =>
-        numeric(x, y) match {
-          case Some((xs, ys)) if xs.length > k + 1 => Ksg.mi(xs, ys, k)
-          case _                                   => Double.NaN
-        }
-      case EstimatorKind.MixedKSG =>
-        numeric(x, y) match {
-          case Some((xs, ys)) if xs.length > k + 1 => MixedKsg.mi(xs, ys, k)
-          case _                                   => Double.NaN
-        }
-      case EstimatorKind.DCKSG =>
-        // The discrete side provides classes; MI is symmetric so orient the
-        // pair such that the continuous side is numeric.
-        val oriented: Option[(IndexedSeq[AnyRef], Array[Double])] = (x, y) match {
-          case (s: StrCol, nc: NumCol) => Some((s.anyValues, nc.values))
-          case (nc: NumCol, s: StrCol) => Some((s.anyValues, nc.values))
-          case (a: NumCol, b: NumCol)  => Some((a.anyValues, b.values)) // discrete-by-equality x
-          case _                       => None
-        }
-        oriented match {
-          case Some((cls, cont)) if cls.size > k + 1 => DcKsg.mi(cls, cont, k)
-          case _                                     => Double.NaN
-        }
+    if (x.size < minSize(kind, k)) Double.NaN
+    else (kind, x, y) match {
+      case (EstimatorKind.MLE, _, _)                      => Mle.mi(x.anyValues, y.anyValues)
+      case (EstimatorKind.KSG, a: NumCol, b: NumCol)      => Ksg.mi(a.values, b.values, k)
+      case (EstimatorKind.MixedKSG, a: NumCol, b: NumCol) => MixedKsg.mi(a.values, b.values, k)
+      // The discrete side provides classes; MI is symmetric, so orient the
+      // pair such that the continuous side is numeric. Numeric-numeric
+      // treats x as discrete by equality.
+      case (EstimatorKind.DCKSG, s: StrCol, c: NumCol)    => DcKsg.mi(s.anyValues, c.values, k)
+      case (EstimatorKind.DCKSG, c: NumCol, s: StrCol)    => DcKsg.mi(s.anyValues, c.values, k)
+      case (EstimatorKind.DCKSG, a: NumCol, b: NumCol)    => DcKsg.mi(a.anyValues, b.values, k)
+      case _                                              => Double.NaN
     }
   }
-
-  private def numeric(x: ColData, y: ColData): Option[(Array[Double], Array[Double])] =
-    (x, y) match {
-      case (a: NumCol, b: NumCol) => Some((a.values, b.values))
-      case _                      => None
-    }
 }

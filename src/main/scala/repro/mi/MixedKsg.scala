@@ -23,44 +23,31 @@ object MixedKsg {
     require(ys.length == n, "MixedKSG: size mismatch")
     require(n > k + 1, s"MixedKSG needs more than k+1=${k + 1} samples, got $n")
     val logN = math.log(n.toDouble)
+    val rho  = Knn.kthDistances(xs, ys, k)
     var acc  = 0.0
-    val knn  = new Array[Double](k)
     var i    = 0
     while (i < n) {
-      java.util.Arrays.fill(knn, Double.PositiveInfinity)
-      var j = 0
-      while (j < n) {
-        if (j != i) {
-          val d = math.max(math.abs(xs(j) - xs(i)), math.abs(ys(j) - ys(i)))
-          if (d < knn(k - 1)) {
-            var p = k - 1
-            while (p > 0 && knn(p - 1) > d) { knn(p) = knn(p - 1); p -= 1 }
-            knn(p) = d
-          }
-        }
-        j += 1
-      }
-      val rho = knn(k - 1)
-      var kp  = 1 // counts include the point itself, as in the reference impl
-      var nx  = 1
-      var ny  = 1
-      j = 0
-      while (j < n) {
-        if (j != i) {
-          val dx = math.abs(xs(j) - xs(i))
-          val dy = math.abs(ys(j) - ys(i))
-          if (rho == 0.0) {
-            if (dx == 0.0 && dy == 0.0) kp += 1
+      // counts include the point itself, as in the reference impl
+      var kTilde = k
+      var nx     = 1
+      var ny     = 1
+      if (rho(i) == 0.0) {
+        kTilde = 1
+        var j = 0
+        while (j < n) {
+          if (j != i) {
+            val dx = math.abs(xs(j) - xs(i))
+            val dy = math.abs(ys(j) - ys(i))
+            if (dx == 0.0 && dy == 0.0) kTilde += 1
             if (dx == 0.0) nx += 1
             if (dy == 0.0) ny += 1
-          } else {
-            if (dx < rho) nx += 1
-            if (dy < rho) ny += 1
           }
+          j += 1
         }
-        j += 1
+      } else {
+        nx += Knn.countCloser(xs, i, rho(i))
+        ny += Knn.countCloser(ys, i, rho(i))
       }
-      val kTilde = if (rho == 0.0) kp else k
       acc += digamma(kTilde.toDouble) + logN - digamma(nx.toDouble) - digamma(ny.toDouble)
       i += 1
     }

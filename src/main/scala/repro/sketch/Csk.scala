@@ -27,8 +27,8 @@ object Csk extends Sketcher {
 
   private def oneRowPerKey(df: DataFrame, key: String, value: String,
                            conf: SketchConf): DataFrame = {
-    val firsts = Featurize.aggregateNorm(Sketch.normalize(df, key, value), AggFn.First)
+    val firsts = Featurize.aggregate(df, key, value, AggFn.First)
     val pre    = Sketcher.pre(firsts, Hashing.huKey(Hashing.SaltKey, col("k")))
-    Sketch.topN(pre, conf.n, conf.impl)
+    Sketch.topN(pre, conf.n)
   }
 }

@@ -1,8 +1,9 @@
 package repro.sketch
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.NumericType
 
 /** Featurization functions AGG (Section III-B): derive the augmentation table
   * `T_aug[K_X, X]` from a candidate `T_cand[K_Z, Z]` whose keys repeat.
@@ -21,16 +22,30 @@ object AggFn {
 
 object Featurize {
 
+  /** Functions that read the value itself as a number. */
+  private val NumericOnly: Set[AggFn] = Set(AggFn.Avg, AggFn.Max, AggFn.Min)
+
+  /** Normalize `df`'s (key, value) pair and aggregate it to one row per key:
+    * `[k, vNum, vStr, rid]`, the `T_aug` side of every sketch and of the
+    * full join. AVG, MAX and MIN of a non-numeric column are rejected rather
+    * than turned into NULL features.
+    */
+  def aggregate(df: DataFrame, key: String, value: String, agg: AggFn): DataFrame = {
+    val tpe = df.schema(value).dataType
+    require(tpe.isInstanceOf[NumericType] || !NumericOnly(agg),
+      s"${agg.name} needs a numeric column, but $value is ${tpe.simpleString}")
+    aggregateNorm(Sketch.normalize(df, key, value), agg)
+  }
+
   /** Aggregate a normalized table `[k, vNum, vStr, rid]` to one row per key,
     * keeping the normalized value representation: `[k, vNum, vStr, rid]`
     * (rid = smallest source rid of the group, so downstream occurrence
     * numbering stays deterministic).
     */
   def aggregateNorm(norm: DataFrame, agg: AggFn): DataFrame = {
-    val numeric = agg match {
-      case AggFn.Avg | AggFn.Count | AggFn.Max | AggFn.Min => true
-      case _                                               => false
-    }
+    def numericPerKey(v: Column): DataFrame =
+      norm.groupBy("k").agg(v as "vNum", min("rid") as "rid")
+        .select(col("k"), col("vNum"), lit(null).cast("string") as "vStr", col("rid"))
     agg match {
       case AggFn.First =>
         norm
@@ -40,21 +55,10 @@ object Featurize {
             min_by(col("vStr"), col("rid")) as "vStr",
             min("rid") as "rid",
           )
-      case AggFn.Avg =>
-        requireNumeric(norm, agg)
-        norm.groupBy("k").agg(avg("vNum") as "vNum", min("rid") as "rid")
-          .select(col("k"), col("vNum"), lit(null).cast("string") as "vStr", col("rid"))
-      case AggFn.Count =>
-        norm.groupBy("k").agg(count(lit(1)).cast("double") as "vNum", min("rid") as "rid")
-          .select(col("k"), col("vNum"), lit(null).cast("string") as "vStr", col("rid"))
-      case AggFn.Max =>
-        requireNumeric(norm, agg)
-        norm.groupBy("k").agg(max("vNum") as "vNum", min("rid") as "rid")
-          .select(col("k"), col("vNum"), lit(null).cast("string") as "vStr", col("rid"))
-      case AggFn.Min =>
-        requireNumeric(norm, agg)
-        norm.groupBy("k").agg(min("vNum") as "vNum", min("rid") as "rid")
-          .select(col("k"), col("vNum"), lit(null).cast("string") as "vStr", col("rid"))
+      case AggFn.Avg   => numericPerKey(avg("vNum"))
+      case AggFn.Count => numericPerKey(count(lit(1)).cast("double"))
+      case AggFn.Max   => numericPerKey(max("vNum"))
+      case AggFn.Min   => numericPerKey(min("vNum"))
       case AggFn.Mode =>
         // Count each (k, value) pair, then keep the most frequent value per
         // key; ties broken by the smaller value for determinism.
@@ -71,16 +75,6 @@ object Featurize {
     }
   }
 
-  private def requireNumeric(norm: DataFrame, agg: AggFn): Unit = {
-    // Normalization puts numeric values in vNum; a string-typed column has
-    // vNum identically null, which would silently yield empty aggregates.
-    // The check is structural (schema-level), not a data scan.
-    require(
-      norm.schema.fieldNames.contains("vNum"),
-      s"${agg.name} requires a normalized input",
-    )
-  }
-
   /** The paper's join-aggregation query (Section III-B): left-join the train
     * table with the aggregated candidate, producing `[kY, y, x]`. Used by the
     * oracle tests and by full-join (non-sketched) MI estimation.
@@ -88,7 +82,7 @@ object Featurize {
   def augmentedJoin(train: DataFrame, trainKey: String, trainVal: String,
                     cand: DataFrame, candKey: String, candVal: String,
                     agg: AggFn): DataFrame = {
-    val aug = aggregateNorm(Sketch.normalize(cand, candKey, candVal), agg)
+    val aug = aggregate(cand, candKey, candVal, agg)
       .select(
         col("k") as "kx",
         coalesce(col("vNum").cast("string"), col("vStr")) as "xs",

@@ -17,13 +17,13 @@ object IndSk extends Sketcher {
   def sketchLeft(df: DataFrame, key: String, value: String, conf: SketchConf): DataFrame = {
     val withJ = Sketch.withOccurrence(Sketch.normalize(df, key, value))
     val pre   = Sketcher.pre(withJ, Hashing.huTuple(Hashing.SaltIndLeft, col("k"), col("j")))
-    Sketch.topN(pre, conf.n, conf.impl)
+    Sketch.topN(pre, conf.n)
   }
 
   def sketchRight(df: DataFrame, key: String, value: String, agg: AggFn,
                   conf: SketchConf): DataFrame = {
-    val aggd = Featurize.aggregateNorm(Sketch.normalize(df, key, value), agg)
+    val aggd = Featurize.aggregate(df, key, value, agg)
     val pre  = Sketcher.pre(aggd, Hashing.huKey(Hashing.SaltIndRight, col("k")))
-    Sketch.topN(pre, conf.n, conf.impl)
+    Sketch.topN(pre, conf.n)
   }
 }

@@ -68,9 +68,9 @@ private[sketch] object TwoLevel {
                   conf: SketchConf): DataFrame = {
     // Aggregation makes keys unique, so both two-level schemes reduce to
     // uniform KMV over keys (all weights 1) on the candidate side.
-    val aggd = Featurize.aggregateNorm(Sketch.normalize(df, key, value), agg)
+    val aggd = Featurize.aggregate(df, key, value, agg)
     val pre  = Sketcher.pre(aggd, Hashing.huKey(Hashing.SaltKey, col("k")))
-    Sketch.topN(pre, conf.n, conf.impl)
+    Sketch.topN(pre, conf.n)
   }
 }
 

@@ -23,10 +23,8 @@ object Sketch {
     case object SortLimit extends TopNImpl
   }
 
-  /** Sketching parameters: the single size parameter n the paper advertises,
-    * plus the execution knob for the top-n selection.
-    */
-  final case class SketchConf(n: Int, impl: TopNImpl = TopNImpl.Udaf) {
+  /** Sketching parameters: the single size parameter n the paper advertises. */
+  final case class SketchConf(n: Int) {
     require(n > 0, "sketch size must be positive")
   }
 
@@ -54,9 +52,9 @@ object Sketch {
 
   /** Keep the n rows with minimum (hu, hkey) from a pre-sketch DataFrame
     * `[hkey, hu, vNum, vStr]`. Both implementations are deterministic and
-    * tested to agree exactly.
+    * tested to agree exactly; the sketchers use the UDAF.
     */
-  def topN(pre: DataFrame, n: Int, impl: TopNImpl): DataFrame = impl match {
+  def topN(pre: DataFrame, n: Int, impl: TopNImpl = TopNImpl.Udaf): DataFrame = impl match {
     case TopNImpl.SortLimit =>
       pre.orderBy(col("hu").asc, col("hkey").asc).limit(n)
     case TopNImpl.Udaf =>

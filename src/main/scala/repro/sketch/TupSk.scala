@@ -22,13 +22,13 @@ object TupSk extends Sketcher {
   def sketchLeft(df: DataFrame, key: String, value: String, conf: SketchConf): DataFrame = {
     val withJ = Sketch.withOccurrence(Sketch.normalize(df, key, value))
     val pre   = Sketcher.pre(withJ, Hashing.huTuple(Hashing.SaltTuple, col("k"), col("j")))
-    Sketch.topN(pre, conf.n, conf.impl)
+    Sketch.topN(pre, conf.n)
   }
 
   def sketchRight(df: DataFrame, key: String, value: String, agg: AggFn,
                   conf: SketchConf): DataFrame = {
-    val aggd = Featurize.aggregateNorm(Sketch.normalize(df, key, value), agg)
+    val aggd = Featurize.aggregate(df, key, value, agg)
     val pre  = Sketcher.pre(aggd, Hashing.huTuple(Hashing.SaltTuple, col("k"), lit(1)))
-    Sketch.topN(pre, conf.n, conf.impl)
+    Sketch.topN(pre, conf.n)
   }
 }

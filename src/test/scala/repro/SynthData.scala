@@ -1,0 +1,31 @@
+package repro
+
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types._
+
+/** Synthetic `[k, v]` tables with skewed or uniform keys for the sketch
+  * tests. Deterministic in the seed.
+  */
+object SynthData {
+
+  /** Zipf-like keys in [1, nKeys]. */
+  def zipfKeys(spark: SparkSession, rows: Long, nKeys: Long,
+               alpha: Double = 1.1, seed: Long = 3): DataFrame = {
+    // Inverse-CDF draw over rank weights 1/k^alpha; good enough for skew.
+    val norm = (1L to math.min(nKeys, 10000L)).map(k => 1.0 / math.pow(k, alpha)).sum
+    spark.range(rows).select(
+      least(lit(nKeys),
+            greatest(lit(1L),
+              pow(lit(1.0) / (rand(seed) * norm + 1e-9), lit(1.0 / alpha)).cast(LongType)
+            )) as "k",
+      rand(seed + 1) as "v",
+    )
+  }
+
+  def uniformKeys(spark: SparkSession, rows: Long, nKeys: Long, seed: Long = 4): DataFrame =
+    spark.range(rows).select(
+      (rand(seed) * nKeys + 1).cast(LongType) as "k",
+      rand(seed + 1)                          as "v",
+    )
+}

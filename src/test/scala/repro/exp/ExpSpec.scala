@@ -96,9 +96,10 @@ class ExpSpec extends SparkSpec {
 
   test("estimator dispatch for Table II follows the paper") {
     import repro.mi.EstimatorKind._
-    assert(TableIIExp.dispatch(xNumeric = false, yNumeric = false) == MLE)
-    assert(TableIIExp.dispatch(xNumeric = true, yNumeric = true) == MixedKSG)
-    assert(TableIIExp.dispatch(xNumeric = true, yNumeric = false) == DCKSG)
-    assert(TableIIExp.dispatch(xNumeric = false, yNumeric = true) == DCKSG)
+    import repro.mi.MI
+    assert(MI.auto(xNumeric = false, yNumeric = false) == MLE)
+    assert(MI.auto(xNumeric = true, yNumeric = true) == MixedKSG)
+    assert(MI.auto(xNumeric = true, yNumeric = false) == DCKSG)
+    assert(MI.auto(xNumeric = false, yNumeric = true) == DCKSG)
   }
 }

@@ -13,6 +13,10 @@ class MiDispatchSpec extends AnyFunSuite {
     assert(MI.auto(nums(10), nums(10)) == EstimatorKind.MixedKSG)
     assert(MI.auto(strs(10), nums(10)) == EstimatorKind.DCKSG)
     assert(MI.auto(nums(10), strs(10)) == EstimatorKind.DCKSG)
+    assert(MI.auto(xNumeric = false, yNumeric = false) == EstimatorKind.MLE)
+    assert(MI.auto(xNumeric = true, yNumeric = true) == EstimatorKind.MixedKSG)
+    assert(MI.auto(xNumeric = true, yNumeric = false) == EstimatorKind.DCKSG)
+    assert(MI.auto(xNumeric = false, yNumeric = true) == EstimatorKind.DCKSG)
   }
 
   test("estimate rejects mismatched sample sizes") {
@@ -24,6 +28,18 @@ class MiDispatchSpec extends AnyFunSuite {
     assert(MI.estimate(EstimatorKind.KSG, nums(3), nums(3)).isNaN)
     assert(MI.estimate(EstimatorKind.MixedKSG, nums(4), nums(4)).isNaN)
     assert(MI.estimate(EstimatorKind.DCKSG, strs(4), nums(4)).isNaN)
+    // Exact boundary: n = k+1 is too small, n = k+2 is estimated.
+    for (k <- Seq(1, MI.DefaultK)) {
+      assert(MI.estimate(EstimatorKind.KSG, nums(k + 1), nums(k + 1), k).isNaN)
+      assert(!MI.estimate(EstimatorKind.KSG, nums(k + 2), nums(k + 2), k).isNaN)
+      assert(MI.estimate(EstimatorKind.MixedKSG, nums(k + 1), nums(k + 1), k).isNaN)
+      assert(!MI.estimate(EstimatorKind.MixedKSG, nums(k + 2), nums(k + 2), k).isNaN)
+      assert(MI.estimate(EstimatorKind.DCKSG, strs(k + 1), nums(k + 1), k).isNaN)
+      assert(!MI.estimate(EstimatorKind.DCKSG, strs(k + 2), nums(k + 2), k).isNaN)
+    }
+    // MLE needs one point.
+    assert(MI.estimate(EstimatorKind.MLE, strs(0), strs(0)).isNaN)
+    assert(!MI.estimate(EstimatorKind.MLE, strs(1), strs(1)).isNaN)
   }
 
   test("MLE works through the dispatcher on strings and on numerics") {

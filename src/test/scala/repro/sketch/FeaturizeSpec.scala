@@ -93,6 +93,19 @@ class FeaturizeSpec extends SparkSpec {
     assert(Sketch.normalize(c, "k", "z").count() == 1)
   }
 
+  test("AVG, MAX and MIN of a string column are rejected, not NULL features") {
+    val candStr = Seq(("a", "u"), ("a", "v"), ("b", "w")).toDF("k", "z")
+    val train   = Seq(("a", 1.0), ("b", 2.0)).toDF("k", "y")
+    for (agg <- Seq(AggFn.Avg, AggFn.Max, AggFn.Min))
+      intercept[IllegalArgumentException](
+        TupSk.sketchRight(candStr, "k", "z", agg, Sketch.SketchConf(8)))
+    intercept[IllegalArgumentException](
+      Featurize.augmentedJoin(train, "k", "y", candStr, "k", "z", AggFn.Avg))
+    // COUNT, FIRST and MODE do not read the value as a number.
+    for (agg <- Seq(AggFn.Count, AggFn.First, AggFn.Mode))
+      assert(Featurize.aggregate(candStr, "k", "z", agg).count() == 2)
+  }
+
   test("aggregation output has unique keys") {
     val agg = Featurize.aggregateNorm(Sketch.normalize(candNum, "k", "z"), AggFn.Avg)
     assert(agg.count() == agg.select("k").distinct().count())
