@@ -1,8 +1,9 @@
 package repro.discovery
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.types.NumericType
 import repro.mi.MI
-import repro.sketch.{AggFn, Sketch, TupSk}
+import repro.sketch.{AggFn, Featurize, Sketch, TupSk}
 
 /** The end-to-end discovery query the sketches exist to serve (Section I):
   * given a base table with a target column, rank candidate joinable tables by
@@ -26,17 +27,20 @@ object JoinRanker {
 
   /** Rank candidates by TUPSK-estimated MI (descending). Candidates whose
     * sketch-join has fewer than [[MinJoin]] rows rank last with NaN
-    * estimates, mirroring the paper's "discard meaningless estimates".
+    * estimates, mirroring the paper's "discard meaningless estimates". The
+    * estimator follows the input columns' types, so it is reported even when
+    * the sketch-join is empty.
     */
   def rank(train: DataFrame, trainKey: String, target: String,
            candidates: Seq[Candidate], conf: Sketch.SketchConf): Seq[Ranked] = {
-    val left = TupSk.sketchLeft(train, trainKey, target, conf).cache()
+    val yNumeric = train.schema(target).dataType.isInstanceOf[NumericType]
+    val left     = TupSk.sketchLeft(train, trainKey, target, conf).cache()
     try {
       left.count() // materialize once; every candidate reuses it
       val ranked = candidates.map { c =>
         val right  = TupSk.sketchRight(c.df, c.key, c.value, c.agg, conf)
         val sample = Sketch.collectSample(Sketch.join(left, right))
-        val kind   = MI.auto(sample.x, sample.y)
+        val kind   = MI.auto(Featurize.numericFeature(c.df, c.value, c.agg), yNumeric)
         val est =
           if (sample.size < MinJoin) Double.NaN
           else MI.estimate(kind, sample.x, sample.y)

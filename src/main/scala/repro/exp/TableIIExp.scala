@@ -2,9 +2,9 @@ package repro.exp
 
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.SparkSession
-import repro.mi.{ColData, EstimatorKind, MI, MleSpark, NumCol, StrCol}
-import repro.sketch.{AggFn, Lv2Sk, PriSk, Sketch, Sketcher, TupSk}
-import repro.stats.{Rng, Stats}
+import repro.mi.{ColData, EstimatorKind, MI, NumCol, StrCol}
+import repro.sketch.{AggFn, Featurize, Lv2Sk, PriSk, Sketch, Sketcher, TupSk}
+import repro.stats.Stats
 import repro.synth.OpenDataGen
 
 /** Table II experiment (Section V-C1): over a collection of table pairs,
@@ -26,8 +26,6 @@ object TableIIExp {
 
   val SketchN     = 1024
   val MinJoinSize = 100
-  /** Cap on rows fed to the O(N^2) KSG-family full-join estimates. */
-  val MaxFullEst  = 5000
 
   val sketchers: Seq[Sketcher] = Seq(Lv2Sk, PriSk, TupSk)
 
@@ -43,14 +41,7 @@ object TableIIExp {
         val agg  = if (spec.xNumeric) AggFn.Avg else AggFn.Mode
         val kind = MI.auto(spec.xNumeric, spec.yNumeric)
 
-        // Full-join reference estimate.
-        val joined = repro.sketch.Featurize
-          .augmentedJoin(pair.train, "k", "y", pair.cand, "k", "x", agg)
-          .filter(col("xn").isNotNull || col("xstr").isNotNull)
-          .cache()
-        val (fullSize, fullMI) =
-          try (joined.count(), fullEstimate(spark, joined, spec, kind, seed))
-          finally joined.unpersist()
+        val (fullSize, fullMI) = fullJoinMI(pair, agg, kind)
 
         // Sketch estimates.
         for (sk <- sketchers) {
@@ -65,28 +56,21 @@ object TableIIExp {
     out.result()
   }
 
-  private def fullEstimate(spark: SparkSession,
-                           joined: org.apache.spark.sql.DataFrame,
-                           spec: OpenDataGen.PairSpec, kind: EstimatorKind,
-                           seed: Long): Double = {
-    if (kind == EstimatorKind.MLE) {
-      // Discrete-discrete: distributed plug-in estimate, no collection needed.
-      MleSpark.mi(joined.select(col("xstr") as "x", col("y")), "x", "y")
-    } else {
-      val xCol = if (spec.xNumeric) "xn" else "xstr"
-      val rows = joined.select(col(xCol), col("y")).collect()
-      val rng  = new Rng(seed * 31 + spec.id)
-      val idx =
-        if (rows.length <= MaxFullEst) rows.indices.toArray
-        else Array.fill(MaxFullEst)(rng.nextInt(rows.length))
-      val x: ColData =
-        if (spec.xNumeric) NumCol(idx.map(i => rows(i).getDouble(0)))
-        else StrCol(idx.map(i => rows(i).getString(0)))
-      val y: ColData =
-        if (spec.yNumeric) NumCol(idx.map(i => rows(i).getDouble(1)))
-        else StrCol(idx.map(i => rows(i).getString(1)))
-      MI.estimate(kind, x, y)
-    }
+  /** The reference a sketch estimate is scored against: `kind` applied to
+    * every row of the full featurized left join, misses discarded, as
+    * (join size, MI).
+    */
+  private[exp] def fullJoinMI(pair: OpenDataGen.TablePair, agg: AggFn,
+                              kind: EstimatorKind): (Int, Double) = {
+    val spec = pair.spec
+    val xCol = if (spec.xNumeric) "xn" else "xstr"
+    val rows = Featurize.augmentedJoin(pair.train, "k", "y", pair.cand, "k", "x", agg)
+      .filter(col(xCol).isNotNull)
+      .select(col(xCol), col("y"))
+      .collect()
+    def column(i: Int, numeric: Boolean): ColData =
+      if (numeric) NumCol(rows.map(_.getDouble(i))) else StrCol(rows.map(_.getString(i)))
+    (rows.length, MI.estimate(kind, column(0, spec.xNumeric), column(1, spec.yNumeric)))
   }
 
   /** Aggregate per sketch over pairs with sketch-join > 100 and defined

@@ -5,7 +5,7 @@ package repro.mi
   * one marginal.
   *
   * O(N^2): the sketch samples this runs on are at most a few thousand points,
-  * and full-join estimates are subsampled upstream. Distances are always
+  * and Table II's full joins at most about 6k. Distances are always
   * `|v(j) - v(i)|`, so two equal infinities are NaN apart, never 0.
   */
 private[mi] object Knn {

@@ -25,10 +25,16 @@ object Featurize {
   /** Functions that read the value itself as a number. */
   private val NumericOnly: Set[AggFn] = Set(AggFn.Avg, AggFn.Max, AggFn.Min)
 
+  /** Whether `agg` of `df`'s `value` column is a numeric feature: COUNT
+    * always is; every other function keeps the source column's type.
+    */
+  def numericFeature(df: DataFrame, value: String, agg: AggFn): Boolean =
+    agg == AggFn.Count || df.schema(value).dataType.isInstanceOf[NumericType]
+
   /** Normalize `df`'s (key, value) pair and aggregate it to one row per key:
-    * `[k, vNum, vStr, rid]`, the `T_aug` side of every sketch and of the
-    * full join. AVG, MAX and MIN of a non-numeric column are rejected rather
-    * than turned into NULL features.
+    * `[k, vNum, vStr]`, the `T_aug` side of every sketch and of the full
+    * join. AVG, MAX and MIN of a non-numeric column are rejected rather than
+    * turned into NULL features.
     */
   def aggregate(df: DataFrame, key: String, value: String, agg: AggFn): DataFrame = {
     val tpe = df.schema(value).dataType
@@ -38,14 +44,13 @@ object Featurize {
   }
 
   /** Aggregate a normalized table `[k, vNum, vStr, rid]` to one row per key,
-    * keeping the normalized value representation: `[k, vNum, vStr, rid]`
-    * (rid = smallest source rid of the group, so downstream occurrence
-    * numbering stays deterministic).
+    * keeping the normalized value representation: `[k, vNum, vStr]`. FIRST
+    * picks the value of the smallest `rid`.
     */
   def aggregateNorm(norm: DataFrame, agg: AggFn): DataFrame = {
     def numericPerKey(v: Column): DataFrame =
-      norm.groupBy("k").agg(v as "vNum", min("rid") as "rid")
-        .select(col("k"), col("vNum"), lit(null).cast("string") as "vStr", col("rid"))
+      norm.groupBy("k").agg(v as "vNum")
+        .select(col("k"), col("vNum"), lit(null).cast("string") as "vStr")
     agg match {
       case AggFn.First =>
         norm
@@ -53,7 +58,6 @@ object Featurize {
           .agg(
             min_by(col("vNum"), col("rid")) as "vNum",
             min_by(col("vStr"), col("rid")) as "vStr",
-            min("rid") as "rid",
           )
       case AggFn.Avg   => numericPerKey(avg("vNum"))
       case AggFn.Count => numericPerKey(count(lit(1)).cast("double"))
@@ -64,20 +68,21 @@ object Featurize {
         // key; ties broken by the smaller value for determinism.
         val counts = norm
           .groupBy("k", "vNum", "vStr")
-          .agg(count(lit(1)) as "cnt", min("rid") as "rid")
+          .agg(count(lit(1)) as "cnt")
         val w = Window
           .partitionBy("k")
           .orderBy(col("cnt").desc, col("vNum").asc_nulls_last, col("vStr").asc_nulls_last)
         counts
           .withColumn("rank", row_number().over(w))
           .filter(col("rank") === 1)
-          .select("k", "vNum", "vStr", "rid")
+          .select("k", "vNum", "vStr")
     }
   }
 
   /** The paper's join-aggregation query (Section III-B): left-join the train
-    * table with the aggregated candidate, producing `[kY, y, x]`. Used by the
-    * oracle tests and by full-join (non-sketched) MI estimation.
+    * table with the aggregated candidate, producing `[ky, y, xn, xstr]` (the
+    * feature in `xn` if numeric, else in `xstr`; both NULL on a miss). Used
+    * by the oracle tests and by full-join (non-sketched) MI estimation.
     */
   def augmentedJoin(train: DataFrame, trainKey: String, trainVal: String,
                     cand: DataFrame, candKey: String, candVal: String,
@@ -85,7 +90,6 @@ object Featurize {
     val aug = aggregate(cand, candKey, candVal, agg)
       .select(
         col("k") as "kx",
-        coalesce(col("vNum").cast("string"), col("vStr")) as "xs",
         col("vNum") as "xn",
         col("vStr") as "xstr",
       )

@@ -20,9 +20,6 @@ final class Rng(seed: Long) {
   /** Uniform int in [0, n). */
   def nextInt(n: Int): Int = r.nextInt(n)
 
-  /** Uniform long in [0, n). */
-  def nextLong(n: Long): Long = r.nextLong(n)
-
   /** Standard Gaussian via Box-Muller (SplittableRandom has no nextGaussian in 8-compat). */
   def nextGaussian(): Double = {
     var u1 = r.nextDouble()

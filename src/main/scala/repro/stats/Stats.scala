@@ -13,8 +13,6 @@ object Stats {
     mean(est.zip(ref).map { case (a, b) => val d = a - b; d * d })
   }
 
-  def rmse(est: Seq[Double], ref: Seq[Double]): Double = math.sqrt(mse(est, ref))
-
   /** Pearson's correlation coefficient; NaN if either side is constant. */
   def pearson(xs: Seq[Double], ys: Seq[Double]): Double = {
     require(xs.size == ys.size, "pearson: size mismatch")

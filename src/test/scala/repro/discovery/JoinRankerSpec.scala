@@ -66,6 +66,20 @@ class JoinRankerSpec extends SparkSpec {
     assert(ranked.find(_.name == "string").get.estimator == "DC-KSG")
   }
 
+  test("an empty sketch-join reports the estimator of the input types") {
+    val (train, cand) = fixtures(5)
+    val disjoint = (100000 until 101000).map(i => (i.toLong, s"c${i % 7}")).toDF("k", "x")
+    val ranked = JoinRanker.rank(train, "k", "y",
+      Seq(
+        Candidate("joinable", cand(0.9, 51), "k", "x", AggFn.Avg),
+        Candidate("disjoint", disjoint, "k", "x", AggFn.Mode),
+      ),
+      Sketch.SketchConf(256))
+    val r = ranked.find(_.name == "disjoint").get
+    assert(r.sketchJoinSize == 0 && r.estimatedMI.isNaN)
+    assert(r.estimator == "DC-KSG")
+  }
+
   test("sketch-based ranking agrees with full-join MI ranking") {
     val (train, cand) = fixtures(4)
     val deps = Seq(0.1, 0.5, 0.9)

@@ -94,6 +94,26 @@ class ExpSpec extends SparkSpec {
     assert(math.abs(row.mse - (0.04 + 0.16) / 2) < 1e-12)
   }
 
+  test("Table II reference estimates MI on every row of a full join above 5,000 rows") {
+    import org.apache.spark.sql.functions.col
+    import repro.mi.{EstimatorKind, MI, NumCol}
+    import repro.sketch.{AggFn, Featurize}
+    import repro.synth.OpenDataGen
+    val spec = OpenDataGen.specs("WBF", 28, 11)(27)
+    assert(spec.xNumeric && spec.yNumeric)
+    val pair = OpenDataGen.generate(spark, spec)
+    pair.train.cache(); pair.cand.cache()
+    try {
+      val (size, mi) = TableIIExp.fullJoinMI(pair, AggFn.Avg, EstimatorKind.MixedKSG)
+      val rows = Featurize.augmentedJoin(pair.train, "k", "y", pair.cand, "k", "x", AggFn.Avg)
+        .filter(col("xn").isNotNull).select("xn", "y").collect()
+      val all = MI.estimate(EstimatorKind.MixedKSG,
+        NumCol(rows.map(_.getDouble(0))), NumCol(rows.map(_.getDouble(1))))
+      assert(size == 5195 && rows.length == 5195)
+      assert(java.lang.Double.compare(mi, all) == 0, s"reference $mi, all rows $all")
+    } finally { pair.train.unpersist(); pair.cand.unpersist() }
+  }
+
   test("estimator dispatch for Table II follows the paper") {
     import repro.mi.EstimatorKind._
     import repro.mi.MI

@@ -4,6 +4,10 @@ import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.stats.Rng
 
+/** `MleSpark` is a test-scope DataFrame formulation of the plug-in MI: it
+  * ties the driver-side `Mle`, which every estimate in the program uses, to
+  * DuckDB's SQL entropy.
+  */
 class MleSparkSpec extends SparkSpec {
   import spark.implicits._
 
