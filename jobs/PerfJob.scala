@@ -14,6 +14,7 @@ object PerfJob {
     val spark = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro-perf")
+      .config("spark.sql.shuffle.partitions", 8)
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
     try println(PerfExp.format(PerfExp.run(spark, sizes, n)))

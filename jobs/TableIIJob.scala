@@ -14,6 +14,7 @@ object TableIIJob {
     val spark = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro-table2")
+      .config("spark.sql.shuffle.partitions", 8)
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
     try {

@@ -15,6 +15,7 @@ object TableIJob {
     val spark = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro-table1")
+      .config("spark.sql.shuffle.partitions", 8)
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
     try {

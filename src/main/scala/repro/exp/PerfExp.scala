@@ -28,7 +28,6 @@ object PerfExp {
 
   def run(spark: SparkSession, sizes: Seq[Int] = Seq(5000, 10000, 20000),
           n: Int = 256, seed: Long = 5): Seq[PerfRow] = {
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
     val conf = Sketch.SketchConf(n)
     sizes.map { nRows =>
       val rng      = new Rng(seed + nRows)

@@ -36,7 +36,6 @@ object TableIExp {
   def run(spark: SparkSession, n: Int = SketchN,
           triTrialsPerM: Int = 6, cdTrials: Int = 30,
           seed: Long = 7, mValues: Seq[Int] = Trinomial.MValues): Seq[Rec] = {
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
     val conf = Sketch.SketchConf(n)
     val out  = Seq.newBuilder[Rec]
 

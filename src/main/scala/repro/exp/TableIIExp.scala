@@ -31,7 +31,6 @@ object TableIIExp {
 
   def run(spark: SparkSession, collection: String, nPairs: Int = 120,
           n: Int = SketchN, seed: Long = 11): Seq[Rec] = {
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
     val conf = Sketch.SketchConf(n)
     val out  = Seq.newBuilder[Rec]
     for (spec <- OpenDataGen.specs(collection, nPairs, seed)) {

@@ -1,7 +1,6 @@
 package repro.sketch
 
-import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.expressions.Window
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.NumericType
 
@@ -43,40 +42,24 @@ object Featurize {
     aggregateNorm(Sketch.normalize(df, key, value), agg)
   }
 
-  /** Aggregate a normalized table `[k, vNum, vStr, rid]` to one row per key,
-    * keeping the normalized value representation: `[k, vNum, vStr]`. FIRST
-    * picks the value of the smallest `rid`.
+  /** Aggregate a normalized table `[k, vNum, vStr, rid]` to one row per key
+    * in one `GROUP BY k`, keeping the normalized value representation:
+    * `[k, vNum, vStr]`. FIRST picks the value of the smallest `rid`; MODE
+    * breaks ties to the smallest value and counts -0.0 as 0.0.
     */
   def aggregateNorm(norm: DataFrame, agg: AggFn): DataFrame = {
-    def numericPerKey(v: Column): DataFrame =
-      norm.groupBy("k").agg(v as "vNum")
-        .select(col("k"), col("vNum"), lit(null).cast("string") as "vStr")
-    agg match {
-      case AggFn.First =>
-        norm
-          .groupBy("k")
-          .agg(
-            min_by(col("vNum"), col("rid")) as "vNum",
-            min_by(col("vStr"), col("rid")) as "vStr",
-          )
-      case AggFn.Avg   => numericPerKey(avg("vNum"))
-      case AggFn.Count => numericPerKey(count(lit(1)).cast("double"))
-      case AggFn.Max   => numericPerKey(max("vNum"))
-      case AggFn.Min   => numericPerKey(min("vNum"))
-      case AggFn.Mode =>
-        // Count each (k, value) pair, then keep the most frequent value per
-        // key; ties broken by the smaller value for determinism.
-        val counts = norm
-          .groupBy("k", "vNum", "vStr")
-          .agg(count(lit(1)) as "cnt")
-        val w = Window
-          .partitionBy("k")
-          .orderBy(col("cnt").desc, col("vNum").asc_nulls_last, col("vStr").asc_nulls_last)
-        counts
-          .withColumn("rank", row_number().over(w))
-          .filter(col("rank") === 1)
-          .select("k", "vNum", "vStr")
+    val noStr = lit(null).cast("string")
+    val (vNum, vStr) = agg match {
+      case AggFn.First => (min_by(col("vNum"), col("rid")), min_by(col("vStr"), col("rid")))
+      // IEEE -0.0 + 0.0 = 0.0: `mode` would otherwise count the two apart.
+      case AggFn.Mode  => (mode(col("vNum") + 0.0, deterministic = true),
+                           mode(col("vStr"), deterministic = true))
+      case AggFn.Avg   => (avg("vNum"), noStr)
+      case AggFn.Count => (count(lit(1)).cast("double"), noStr)
+      case AggFn.Max   => (max("vNum"), noStr)
+      case AggFn.Min   => (min("vNum"), noStr)
     }
+    norm.groupBy("k").agg(vNum as "vNum", vStr as "vStr")
   }
 
   /** The paper's join-aggregation query (Section III-B): left-join the train

@@ -43,10 +43,11 @@ private[sketch] object TwoLevel {
                  keyOrder: (Column, Column) => Column): DataFrame = {
     val norm = Sketch.normalize(df, key, value)
     val n    = conf.n
-    val big  = norm.count()
 
-    // Level 1: select n keys by the scheme's key order.
+    // Level 1: select n keys by the scheme's key order. The table size N is
+    // the sum of the per-key counts, so building the sketch runs no job.
     val counts = norm.groupBy("k").agg(count(lit(1)) as "Nk")
+      .withColumn("N", sum("Nk").over())
       .withColumn("huKey", Hashing.huKey(Hashing.SaltKey, col("k")))
     val chosen = counts
       .orderBy(keyOrder(col("huKey"), col("Nk")).asc, col("k").asc)
@@ -58,7 +59,7 @@ private[sketch] object TwoLevel {
       .join(chosen, Seq("k"))
       .withColumn("hu2", Hashing.huTuple(Hashing.SaltSecondLevel, col("k"), col("j")))
       .withColumn("rank", row_number().over(Window.partitionBy("k").orderBy(col("hu2"), col("j"))))
-      .withColumn("nk", greatest(lit(1L), floor(lit(n.toLong) * col("Nk") / lit(big))))
+      .withColumn("nk", greatest(lit(1L), floor(lit(n.toLong) * col("Nk") / col("N"))))
       .filter(col("rank") <= col("nk"))
 
     Sketcher.pre(withJ, col("huKey"))

@@ -32,10 +32,16 @@ object Sketch {
     * `[k: string, vNum: double?, vStr: string?, rid: long]`, dropping rows
     * with NULL key or value (left-join misses are discarded per Section III).
     * `rid` is a per-partition-stable row id used to define occurrence order.
+    * A NaN or ±Inf value fails the query that reads it, rather than
+    * corrupting k-NN distances.
     */
   def normalize(df: DataFrame, key: String, value: String): DataFrame = {
     val numeric = df.schema(value).dataType.isInstanceOf[NumericType]
-    val vNum    = if (numeric) df(value).cast("double") else lit(null).cast("double")
+    val v       = df(value).cast("double")
+    val vNum    =
+      if (numeric) when(isnan(v) || abs(v) === Double.PositiveInfinity,
+          raise_error(lit(s"column $value holds NaN or an infinite value"))).otherwise(v)
+      else lit(null).cast("double")
     val vStr    = if (numeric) lit(null).cast("string") else df(value).cast("string")
     df.filter(df(key).isNotNull && df(value).isNotNull)
       .select(

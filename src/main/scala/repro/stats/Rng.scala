@@ -36,9 +36,8 @@ final class Rng(seed: Long) {
     c
   }
 
-  /** Zipf-distributed rank in [1, nKeys] with exponent alpha (inverse-CDF over
-    * the exact normalizer; O(log n) per draw via precomputed CDF is done by
-    * [[Rng.zipfSampler]] — this instance method is a convenience for tests).
+  /** Zipf-distributed rank in [1, cdf.length]: inverse-CDF sampling by binary
+    * search, O(log n) per draw, over a CDF precomputed by [[Rng.zipfCdf]].
     */
   def zipf(cdf: Array[Double]): Int = {
     val u  = r.nextDouble()

@@ -114,6 +114,20 @@ class ExpSpec extends SparkSpec {
     } finally { pair.train.unpersist(); pair.cand.unpersist() }
   }
 
+  test("the experiments leave the session's shuffle partitions as they found them") {
+    val key    = "spark.sql.shuffle.partitions"
+    val before = spark.conf.get(key)
+    spark.conf.set(key, "13")
+    try {
+      TableIExp.run(spark, n = 32, triTrialsPerM = 1, cdTrials = 1, seed = 3, mValues = Seq(16))
+      assert(spark.conf.get(key) == "13", "after Table I")
+      TableIIExp.run(spark, "NYC", nPairs = 1, n = 64, seed = 5)
+      assert(spark.conf.get(key) == "13", "after Table II")
+      PerfExp.run(spark, sizes = Seq(500), n = 32)
+      assert(spark.conf.get(key) == "13", "after the perf exemplars")
+    } finally spark.conf.set(key, before)
+  }
+
   test("estimator dispatch for Table II follows the paper") {
     import repro.mi.EstimatorKind._
     import repro.mi.MI

@@ -1,5 +1,6 @@
 package repro.sketch
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.mi.{EstimatorKind, MI}
@@ -84,6 +85,58 @@ class SketchJoinSpec extends SparkSpec {
       TupSk.sketchLeft(pair.train, "k", "y", conf),
       TupSk.sketchRight(pair.cand, "k", "x", AggFn.First, conf))
     assert(joined.count() == 800)
+  }
+
+  /** Ids of the Spark jobs that `body` ran. The status tracker sees jobs
+    * through the listener bus, in event order, so once a later marker job
+    * shows, every job of `body` does too.
+    */
+  private def jobsOf(group: String)(body: => Unit): Seq[Int] = {
+    val sc = spark.sparkContext
+    def inGroup(g: String)(f: => Unit): Unit = {
+      sc.setJobGroup(g, g)
+      try f finally sc.clearJobGroup()
+    }
+    inGroup(group)(body)
+    inGroup(s"$group-marker")(spark.range(1).count())
+    val deadline = System.nanoTime() + 10L * 1000 * 1000 * 1000
+    while (sc.statusTracker.getJobIdsForGroup(s"$group-marker").isEmpty) {
+      assert(System.nanoTime() < deadline, "the marker job never showed")
+      Thread.sleep(10)
+    }
+    sc.statusTracker.getJobIdsForGroup(group).toSeq
+  }
+
+  test("building every scheme's sketches runs no Spark job") {
+    val train = Seq(("a", 1.0), ("a", 2.0), ("b", 3.0), ("c", 4.0)).toDF("k", "y")
+    val cand  = Seq(("a", 5.0), ("b", 6.0), ("b", 7.0)).toDF("k", "x")
+    val conf  = SketchConf(2)
+    for (sk <- Sketcher.all) {
+      val jobs = jobsOf(s"build-${sk.name}") {
+        sk.sketchLeft(train, "k", "y", conf)
+        sk.sketchRight(cand, "k", "x", AggFn.Mode, conf)
+      }
+      assert(jobs.isEmpty, s"${sk.name} ran jobs $jobs while building its sketches")
+    }
+  }
+
+  test("NaN and infinite values are rejected loudly (every scheme)") {
+    def rejects(df: => DataFrame): Unit = {
+      val e = intercept[Exception](df.collect())
+      val msgs = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+        .flatMap(t => Option(t.getMessage))
+      assert(msgs.exists(_.contains("column v holds NaN or an infinite value")), e.toString)
+    }
+    val conf  = SketchConf(8)
+    val train = Seq(("a", 1.0), ("b", 2.0)).toDF("k", "y")
+    for (bad <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+      val df = Seq(("a", 1.0), ("b", bad), ("b", 3.0)).toDF("k", "v")
+      for (sk <- Sketcher.all) {
+        rejects(sk.sketchLeft(df, "k", "v", conf))
+        rejects(sk.sketchRight(df, "k", "v", AggFn.Avg, conf))
+      }
+      rejects(Featurize.augmentedJoin(train, "k", "y", df, "k", "v", AggFn.Avg))
+    }
   }
 
   test("an empty table yields an empty sketch and an empty join") {
