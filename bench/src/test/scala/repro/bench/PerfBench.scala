@@ -1,6 +1,5 @@
 package repro.bench
 
-import java.nio.file.{Files, Paths, StandardOpenOption}
 import repro.SparkSpec
 import repro.exp.PerfExp
 
@@ -19,9 +18,7 @@ class PerfBench extends SparkSpec {
     println("\n===== Section V-D performance exemplars (reproduced) =====")
     println(text)
     println("===========================================================\n")
-    Files.createDirectories(Paths.get("results"))
-    Files.write(Paths.get("results/perf.txt"), (text + "\n").getBytes,
-      StandardOpenOption.CREATE, StandardOpenOption.TRUNCATE_EXISTING)
+    Results.write("perf.txt", text)
     r
   }
 

@@ -1,6 +1,5 @@
 package repro.bench
 
-import java.nio.file.{Files, Paths, StandardOpenOption}
 import repro.SparkSpec
 import repro.exp.TableIExp
 
@@ -28,9 +27,7 @@ class TableIBench extends SparkSpec {
     println("\n===== TABLE I (reproduced) =====")
     println(text)
     println("================================\n")
-    Files.createDirectories(Paths.get("results"))
-    Files.write(Paths.get("results/table1.txt"), (text + "\n").getBytes,
-      StandardOpenOption.CREATE, StandardOpenOption.TRUNCATE_EXISTING)
+    Results.write("table1.txt", text)
     summary
   }
 

@@ -1,6 +1,5 @@
 package repro.bench
 
-import java.nio.file.{Files, Paths, StandardOpenOption}
 import repro.SparkSpec
 import repro.exp.TableIIExp
 
@@ -26,9 +25,7 @@ class TableIIBench extends SparkSpec {
     println("\n===== TABLE II (reproduced, synthetic open-data substitute) =====")
     println(text)
     println("=================================================================\n")
-    Files.createDirectories(Paths.get("results"))
-    Files.write(Paths.get("results/table2.txt"), (text + "\n").getBytes,
-      StandardOpenOption.CREATE, StandardOpenOption.TRUNCATE_EXISTING)
+    Results.write("table2.txt", text)
     summary
   }
 

@@ -18,18 +18,32 @@ object PerfExp {
   final case class PerfRow(nRows: Int, fullJoinMs: Double, sketchJoinMs: Double,
                            fullMiMs: Double, sketchMiMs: Double)
 
-  private def timeMs[A](reps: Int)(body: => A): Double = {
-    body // warm-up
-    val times = (0 until reps).map { _ =>
-      val t0 = System.nanoTime(); body; (System.nanoTime() - t0) / 1e6
-    }
-    times.sorted.apply(reps / 2) // median
+  /** One size's join timings and the samples its estimators are timed on. */
+  private final case class Joins(fullJoinMs: Double, sketchJoinMs: Double,
+                                 full: Sketch.Sample, sketch: Sketch.Sample)
+
+  /** Timed runs per measurement; each column is their median. */
+  private val Reps = 7
+
+  /** Median time of each body over `Reps` rounds, after one untimed run of
+    * each. A round runs every body once, so a change in the host's speed
+    * falls on all of them alike.
+    */
+  private def timeEachMs(bodies: Seq[() => Any]): Seq[Double] = {
+    bodies.foreach(_())
+    val rounds = Seq.fill(Reps)(bodies.map { body =>
+      val t0 = System.nanoTime(); body(); (System.nanoTime() - t0) / 1e6
+    })
+    bodies.indices.map(b => rounds.map(_(b)).sorted.apply(Reps / 2))
   }
+
+  private def timeMs(body: => Any): Double = timeEachMs(Seq(() => body)).head
 
   def run(spark: SparkSession, sizes: Seq[Int] = Seq(5000, 10000, 20000),
           n: Int = 256, seed: Long = 5): Seq[PerfRow] = {
     val conf = Sketch.SketchConf(n)
-    sizes.map { nRows =>
+    // Per size: the join timings, then the full-join and sketch-join samples.
+    val joins = sizes.map { nRows =>
       val rng      = new Rng(seed + nRows)
       val m        = 500
       val (xi, yd) = CDUnif.sample(rng, m, nRows)
@@ -41,24 +55,34 @@ object PerfExp {
         val right = TupSk.sketchRight(pair.cand, "k", "x", AggFn.First, conf).cache()
         left.count(); right.count()
 
-        val fullJoinMs = timeMs(3) {
+        val fullJoinMs = timeMs {
           pair.train.join(pair.cand, "k").count()
         }
-        val sketchJoinMs = timeMs(3) { Sketch.join(left, right).count() }
+        val sketchJoinMs = timeMs { Sketch.join(left, right).count() }
 
         val fullRows = pair.train.join(pair.cand, "k")
           .select("x", "y").collect()
-        val fx = fullRows.map(_.getDouble(0)); val fy = fullRows.map(_.getDouble(1))
-        val fullMiMs = timeMs(3) {
-          MI.estimate(EstimatorKind.MixedKSG, NumCol(fx), NumCol(fy))
-        }
+        val full   = Sketch.Sample(NumCol(fullRows.map(_.getDouble(0))), NumCol(fullRows.map(_.getDouble(1))))
         val sample = Sketch.collectSample(Sketch.join(left, right))
-        val sketchMiMs = timeMs(3) {
-          MI.estimate(EstimatorKind.MixedKSG, sample.x, sample.y)
-        }
         left.unpersist(); right.unpersist()
-        PerfRow(nRows, fullJoinMs, sketchJoinMs, fullMiMs, sketchMiMs)
+        Joins(fullJoinMs, sketchJoinMs, full, sample)
       } finally { pair.train.unpersist(); pair.cand.unpersist() }
+    }
+
+    // The estimators are timed after all Spark work. JIT-compile them first
+    // on the largest full join (at least 3 calls and 1 s), so that
+    // compilation is not charged to the first size.
+    def estimate(s: Sketch.Sample): () => Double =
+      () => MI.estimate(EstimatorKind.MixedKSG, s.x, s.y)
+    val largest = estimate(joins.map(_.full).maxBy(_.size))
+    val warmEnd = System.nanoTime() + 1000000000L
+    var calls   = 0
+    while (calls < 3 || System.nanoTime() < warmEnd) { largest(); calls += 1 }
+    val fullMiMs   = timeEachMs(joins.map(j => estimate(j.full)))
+    val sketchMiMs = timeEachMs(joins.map(j => estimate(j.sketch)))
+
+    sizes.indices.map { i =>
+      PerfRow(sizes(i), joins(i).fullJoinMs, joins(i).sketchJoinMs, fullMiMs(i), sketchMiMs(i))
     }
   }
 

@@ -15,12 +15,14 @@ object Ksg {
     val n = xs.length
     require(ys.length == n, "KSG: size mismatch")
     require(n > k + 1, s"KSG needs more than k+1=${k + 1} samples, got $n")
-    val eps = Knn.kthDistances(xs, ys, k)
+    val mx  = new Knn.Marginal(xs)
+    val my  = new Knn.Marginal(ys)
+    val eps = Knn.kthDistances(mx, my, k)
     var acc = 0.0
     var i   = 0
     while (i < n) {
-      val nx = Knn.countCloser(xs, i, eps(i))
-      val ny = Knn.countCloser(ys, i, eps(i))
+      val nx = mx.countCloser(i, eps(i))
+      val ny = my.countCloser(i, eps(i))
       acc += digamma(nx + 1.0) + digamma(ny + 1.0)
       i += 1
     }

@@ -23,7 +23,13 @@ object MixedKsg {
     require(ys.length == n, "MixedKSG: size mismatch")
     require(n > k + 1, s"MixedKSG needs more than k+1=${k + 1} samples, got $n")
     val logN = math.log(n.toDouble)
-    val rho  = Knn.kthDistances(xs, ys, k)
+    val mx   = new Knn.Marginal(xs)
+    val my   = new Knn.Marginal(ys)
+    val rho  = Knn.kthDistances(mx, my, k)
+    // How many points with rho == 0 (all finite) share each (x, y) value,
+    // self included. `+ 0.0` turns -0.0 into 0.0: their distance is 0 too.
+    val tied = (0 until n).filter(rho(_) == 0.0)
+      .groupMapReduce(i => (xs(i) + 0.0, ys(i) + 0.0))(_ => 1)(_ + _)
     var acc  = 0.0
     var i    = 0
     while (i < n) {
@@ -32,21 +38,12 @@ object MixedKsg {
       var nx     = 1
       var ny     = 1
       if (rho(i) == 0.0) {
-        kTilde = 1
-        var j = 0
-        while (j < n) {
-          if (j != i) {
-            val dx = math.abs(xs(j) - xs(i))
-            val dy = math.abs(ys(j) - ys(i))
-            if (dx == 0.0 && dy == 0.0) kTilde += 1
-            if (dx == 0.0) nx += 1
-            if (dy == 0.0) ny += 1
-          }
-          j += 1
-        }
+        kTilde = tied((xs(i) + 0.0, ys(i) + 0.0))
+        nx += mx.countEqual(i)
+        ny += my.countEqual(i)
       } else {
-        nx += Knn.countCloser(xs, i, rho(i))
-        ny += Knn.countCloser(ys, i, rho(i))
+        nx += mx.countCloser(i, rho(i))
+        ny += my.countCloser(i, rho(i))
       }
       acc += digamma(kTilde.toDouble) + logN - digamma(nx.toDouble) - digamma(ny.toDouble)
       i += 1

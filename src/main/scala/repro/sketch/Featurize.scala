@@ -77,7 +77,7 @@ object Featurize {
         col("vStr") as "xstr",
       )
     train
-      .select(train(trainKey).cast("string") as "ky", train(trainVal) as "y")
+      .select(Sketch.keyString(train, trainKey) as "ky", train(trainVal) as "y")
       .join(aug, col("ky") === col("kx"), "left")
       .select(col("ky"), col("y"), col("xn"), col("xstr"))
   }

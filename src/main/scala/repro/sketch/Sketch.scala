@@ -3,7 +3,7 @@ package repro.sketch
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.NumericType
+import org.apache.spark.sql.types.{DecimalType, DoubleType, FloatType, NumericType}
 import repro.mi.{ColData, NumCol, StrCol}
 
 /** A sketch is a DataFrame with schema
@@ -28,9 +28,23 @@ object Sketch {
     require(n > 0, "sketch size must be positive")
   }
 
+  /** `df`'s join key as a string. An integral FLOAT, DOUBLE or DECIMAL key
+    * (below 1e18 in magnitude) prints as the integer, "1" and not "1.0", so
+    * that it joins the same INT or LONG key; any other key is cast as it is.
+    */
+  def keyString(df: DataFrame, key: String): Column = {
+    val k = df(key)
+    df.schema(key).dataType match {
+      case FloatType | DoubleType | _: DecimalType =>
+        when(abs(k) < 1e18 && k === floor(k), k.cast("long").cast("string")).otherwise(k.cast("string"))
+      case _ => k.cast("string")
+    }
+  }
+
   /** Normalize an input table's (key, value) pair to columns
-    * `[k: string, vNum: double?, vStr: string?, rid: long]`, dropping rows
-    * with NULL key or value (left-join misses are discarded per Section III).
+    * `[k: string, vNum: double?, vStr: string?, rid: long]` (k from
+    * [[keyString]]), dropping rows with NULL key or value (left-join misses
+    * are discarded per Section III).
     * `rid` is a per-partition-stable row id used to define occurrence order.
     * A NaN or ±Inf value fails the query that reads it, rather than
     * corrupting k-NN distances.
@@ -45,7 +59,7 @@ object Sketch {
     val vStr    = if (numeric) lit(null).cast("string") else df(value).cast("string")
     df.filter(df(key).isNotNull && df(value).isNotNull)
       .select(
-        df(key).cast("string") as "k",
+        keyString(df, key) as "k",
         vNum as "vNum",
         vStr as "vStr",
         monotonically_increasing_id() as "rid",

@@ -4,9 +4,10 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.stats.Rng
 import repro.stats.SpecialFunctions.digamma
 
-/** `Ksg` and `MixedKsg` run on the shared `Knn` kernel. These are the
-  * self-contained per-estimator loops they replaced, kept as oracles: the
-  * estimates must agree bit for bit, ties and infinities included.
+/** `Ksg` and `MixedKsg` run on the shared O(N log N) `Knn` kernel. These
+  * are the self-contained O(N^2) per-estimator loops it replaced, kept as
+  * oracles: the estimates must agree bit for bit, ties, signed zeros and
+  * infinities included.
   */
 object KnnReference {
 
@@ -111,19 +112,50 @@ class KnnReferenceSpec extends AnyFunSuite {
       y(1) = Double.NegativeInfinity
       (x, y)
     }),
+    // The full-join shape of CDUnif (m = 100): the kernel must walk y.
+    "CDUnif-like"     -> ((r, n) => {
+      val x = Array.fill(n)(r.nextInt(100).toDouble); (x, x.map(_ + 2 * r.nextDouble()))
+    }),
+    "signed zeros"    -> ((r, n) => {
+      def zeros() = Array.fill(n)(
+        if (r.nextInt(3) == 0) r.nextInt(3) - 1.0 else if (r.nextInt(2) == 0) 0.0 else -0.0)
+      (zeros(), zeros())
+    }),
   )
+
+  private def assertMatches(xs: Array[Double], ys: Array[Double], k: Int): Unit = {
+    val n = xs.length
+    assert(java.lang.Double.compare(Ksg.mi(xs, ys, k), KnnReference.ksg(xs, ys, k)) == 0, s"KSG k=$k n=$n")
+    assert(java.lang.Double.compare(MixedKsg.mi(xs, ys, k), KnnReference.mixedKsg(xs, ys, k)) == 0,
+      s"MixedKSG k=$k n=$n")
+  }
 
   for ((name, gen) <- shapes) {
     test(s"KSG and MixedKSG match the reference loops bit for bit: $name") {
       val rng = new Rng(name.hashCode)
       for (k <- 1 to 5; n <- Seq(k + 2, k + 3) ++ Seq.fill(6)(k + 2 + rng.nextInt(500 - k - 1))) {
         val (xs, ys) = gen(rng, n)
-        val ksg      = Ksg.mi(xs, ys, k)
-        val mixed    = MixedKsg.mi(xs, ys, k)
-        assert(java.lang.Double.compare(ksg, KnnReference.ksg(xs, ys, k)) == 0, s"KSG k=$k n=$n")
-        assert(java.lang.Double.compare(mixed, KnnReference.mixedKsg(xs, ys, k)) == 0,
-          s"MixedKSG k=$k n=$n")
+        assertMatches(xs, ys, k)
+      }
+      // Sizes of a sketch-join and of a small full join.
+      for (k <- 1 to 5) {
+        val (xs, ys) = gen(rng, 1000 + rng.nextInt(2001))
+        assertMatches(xs, ys, k)
       }
     }
+  }
+
+  test("countCloser equals the scan at r = 0, r = +Inf and r equal to a gap; countEqual too") {
+    def scan(v: Array[Double], i: Int, within: Double => Boolean): Int =
+      v.indices.count(j => j != i && within(math.abs(v(j) - v(i))))
+    val rng = new Rng(7)
+    val v = Array.fill(300)(rng.nextInt(40) * 0.1) ++
+      Seq(0.0, -0.0, -0.0, Double.PositiveInfinity, Double.NegativeInfinity, Double.NaN, 1e308, -1e308)
+    val m = new Knn.Marginal(v)
+    val gaps = for (a <- v.distinct; b <- v.distinct if a != b) yield math.abs(a - b)
+    for (i <- v.indices; r <- Seq(0.0, Double.PositiveInfinity) ++ Seq.fill(5)(gaps(rng.nextInt(gaps.length))))
+      assert(m.countCloser(i, r) == scan(v, i, _ < r), s"v(i)=${v(i)} r=$r")
+    for (i <- v.indices if java.lang.Double.isFinite(v(i)))
+      assert(m.countEqual(i) == scan(v, i, _ == 0.0), s"v(i)=${v(i)}")
   }
 }

@@ -87,6 +87,39 @@ class SketchJoinSpec extends SparkSpec {
     assert(joined.count() == 800)
   }
 
+  test("a DOUBLE key 1.0 joins a LONG key 1, and 1.5 stays distinct") {
+    val train      = spark.range(0, 200).select(col("id") as "k", (col("id") % 7).cast("double") as "y")
+    val candLong   = spark.range(0, 200).select(col("id") as "k", col("id") * 0.5 as "x")
+    val candDouble = candLong.select(col("k").cast("double") as "k", col("x"))
+    val halves     = Seq(1.5, 2.5, 199.5, Double.NaN, Double.NegativeInfinity, 1e30).map((_, 9.0)).toDF("k", "x")
+    val conf       = SketchConf(64)
+    def sketchJoin(train: DataFrame, cand: DataFrame) =
+      Sketch.join(TupSk.sketchLeft(train, "k", "y", conf),
+        TupSk.sketchRight(cand, "k", "x", AggFn.First, conf))
+        .select("hkey", "yNum", "xNum").collect().map(_.toSeq).toSet
+    val expected = sketchJoin(train, candLong)
+    assert(expected.nonEmpty)
+    assert(sketchJoin(train, candDouble) == expected)
+    for (t <- Seq("float", "decimal(10,2)"))
+      assert(sketchJoin(train, candLong.select(col("k").cast(t) as "k", col("x"))) == expected, t)
+    assert(sketchJoin(train.select(col("k").cast("double") as "k", col("y")), candLong) == expected)
+    assert(sketchJoin(train, halves).isEmpty)
+
+    // Both sides of the full join: every train key meets exactly one
+    // candidate row, as in DuckDB's numeric comparison.
+    val trainDouble = train.select(col("k").cast("double") as "k", col("y"))
+    val cand        = candDouble.union(halves)
+    val got = Featurize.augmentedJoin(trainDouble, "k", "y", cand, "k", "x", AggFn.Count)
+      .filter(col("xn").isNotNull)
+      .agg(count(lit(1)) as "n", sum("xn") as "s")
+    assert(got.head().getLong(0) == 200)
+    Oracle.assertEquivalent(got,
+      """SELECT count(*) AS n, CAST(sum(a.cnt) AS DOUBLE) AS s
+        |FROM t JOIN (SELECT CAST(k AS DOUBLE) AS k, count(*) AS cnt FROM c GROUP BY 1) a
+        |  ON CAST(t.k AS DOUBLE) = a.k""".stripMargin,
+      "t" -> trainDouble, "c" -> cand)
+  }
+
   /** Ids of the Spark jobs that `body` ran. The status tracker sees jobs
     * through the listener bus, in event order, so once a later marker job
     * shows, every job of `body` does too.
