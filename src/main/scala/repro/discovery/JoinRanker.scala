@@ -1,6 +1,7 @@
 package repro.discovery
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types.NumericType
 import repro.mi.MI
 import repro.sketch.{AggFn, Featurize, Sketch, TupSk}
@@ -8,8 +9,9 @@ import repro.sketch.{AggFn, Featurize, Sketch, TupSk}
 /** The end-to-end discovery query the sketches exist to serve (Section I):
   * given a base table with a target column, rank candidate joinable tables by
   * the estimated MI between their feature column and the target — without
-  * materializing any join. The base table is sketched once; each candidate
-  * contributes one small sketch and one sketch-join.
+  * materializing any join. The base table is sketched once and joined once
+  * with an index of every candidate's sketch; one collect brings back every
+  * candidate's sample.
   */
 object JoinRanker {
 
@@ -34,20 +36,41 @@ object JoinRanker {
   def rank(train: DataFrame, trainKey: String, target: String,
            candidates: Seq[Candidate], conf: Sketch.SketchConf): Seq[Ranked] = {
     val yNumeric = train.schema(target).dataType.isInstanceOf[NumericType]
-    val left     = TupSk.sketchLeft(train, trainKey, target, conf).cache()
-    try {
-      left.count() // materialize once; every candidate reuses it
-      val ranked = candidates.map { c =>
-        val right  = TupSk.sketchRight(c.df, c.key, c.value, c.agg, conf)
-        val sample = Sketch.collectSample(Sketch.join(left, right))
-        val kind   = MI.auto(Featurize.numericFeature(c.df, c.value, c.agg), yNumeric)
+    val ranked = candidates.zip(samples(train, trainKey, target, candidates, conf)).map {
+      case (c, sample) =>
+        val kind = MI.auto(Featurize.numericFeature(c.df, c.value, c.agg), yNumeric)
         val est =
           if (sample.size < MinJoin) Double.NaN
           else MI.estimate(kind, sample.x, sample.y)
         Ranked(c.name, est, sample.size, kind.name)
-      }
-      ranked.sortBy(r => if (r.estimatedMI.isNaN) Double.NegativeInfinity else r.estimatedMI)(
-        Ordering[Double].reverse)
-    } finally left.unpersist()
+    }
+    ranked.sortBy(r => if (r.estimatedMI.isNaN) Double.NegativeInfinity else r.estimatedMI)(
+      Ordering[Double].reverse)
   }
+
+  /** Each candidate's TUPSK sketch-join sample, from one sketch-join of the
+    * train sketch with [[TupSk.index]] and one collect; no Spark job runs
+    * when there is no candidate. A candidate's rows are sorted by their
+    * content (hkey, then the target), not taken in arrival order, so the
+    * same inputs give the same sample, and the same estimate, every time.
+    */
+  private[discovery] def samples(train: DataFrame, trainKey: String, target: String,
+                                 candidates: Seq[Candidate],
+                                 conf: Sketch.SketchConf): Seq[Sketch.Sample] =
+    if (candidates.isEmpty) Nil
+    else {
+      val index = TupSk.index(candidates.map(c => Featurize.aggregate(c.df, c.key, c.value, c.agg)), conf)
+      val rows = Sketch.join(TupSk.sketchLeft(train, trainKey, target, conf), index)
+        .select((Sketch.SampleColumns ++ Seq("cand", "hkey")).map(col): _*)
+        .collect()
+      // A right sketch holds one row per hkey, so (hkey, y) orders a
+      // candidate's rows up to rows that are equal.
+      import Ordering.Double.TotalOrdering
+      val sorted =
+        if (train.schema(target).dataType.isInstanceOf[NumericType])
+          rows.sortBy(r => (r.getInt(4), r.getLong(5), r.getDouble(2)))
+        else rows.sortBy(r => (r.getInt(4), r.getLong(5), r.getString(3)))
+      val byCand = sorted.groupBy(_.getInt(4))
+      candidates.indices.map(i => Sketch.toSample(byCand.getOrElse(i, Array.empty[Row])))
+    }
 }

@@ -1,6 +1,6 @@
 package repro.exp
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.mi.{EstimatorKind, MI, NumCol}
 import repro.sketch.{AggFn, Sketch, TupSk}
 import repro.stats.Rng
@@ -18,9 +18,12 @@ object PerfExp {
   final case class PerfRow(nRows: Int, fullJoinMs: Double, sketchJoinMs: Double,
                            fullMiMs: Double, sketchMiMs: Double)
 
-  /** One size's join timings and the samples its estimators are timed on. */
-  private final case class Joins(fullJoinMs: Double, sketchJoinMs: Double,
-                                 full: Sketch.Sample, sketch: Sketch.Sample)
+  /** One size's cached pair and TUPSK sketches. */
+  private final case class Prepared(pair: Decompose.Pair, left: DataFrame, right: DataFrame) {
+    def fullJoin: DataFrame   = pair.train.join(pair.cand, "k")
+    def sketchJoin: DataFrame = Sketch.join(left, right)
+    def cached: Seq[DataFrame] = Seq(pair.train, pair.cand, left, right)
+  }
 
   /** Timed runs per measurement; each column is their median. */
   private val Reps = 7
@@ -37,52 +40,50 @@ object PerfExp {
     bodies.indices.map(b => rounds.map(_(b)).sorted.apply(Reps / 2))
   }
 
-  private def timeMs(body: => Any): Double = timeEachMs(Seq(() => body)).head
-
   def run(spark: SparkSession, sizes: Seq[Int] = Seq(5000, 10000, 20000),
           n: Int = 256, seed: Long = 5): Seq[PerfRow] = {
     val conf = Sketch.SketchConf(n)
-    // Per size: the join timings, then the full-join and sketch-join samples.
-    val joins = sizes.map { nRows =>
+    // Every size's pair and sketches are cached first, so that the joins are
+    // timed once Spark is warm, round robin over the sizes.
+    val prepared = sizes.map { nRows =>
       val rng      = new Rng(seed + nRows)
       val m        = 500
       val (xi, yd) = CDUnif.sample(rng, m, nRows)
       val pair     = Decompose(spark, xi.map(_.toDouble), yd, Decompose.KeyInd)
       pair.train.cache(); pair.cand.cache()
-      pair.train.count(); pair.cand.count()
-      try {
-        val left  = TupSk.sketchLeft(pair.train, "k", "y", conf).cache()
-        val right = TupSk.sketchRight(pair.cand, "k", "x", AggFn.First, conf).cache()
-        left.count(); right.count()
-
-        val fullJoinMs = timeMs {
-          pair.train.join(pair.cand, "k").count()
-        }
-        val sketchJoinMs = timeMs { Sketch.join(left, right).count() }
-
-        val fullRows = pair.train.join(pair.cand, "k")
-          .select("x", "y").collect()
-        val full   = Sketch.Sample(NumCol(fullRows.map(_.getDouble(0))), NumCol(fullRows.map(_.getDouble(1))))
-        val sample = Sketch.collectSample(Sketch.join(left, right))
-        left.unpersist(); right.unpersist()
-        Joins(fullJoinMs, sketchJoinMs, full, sample)
-      } finally { pair.train.unpersist(); pair.cand.unpersist() }
+      val p = Prepared(pair, TupSk.sketchLeft(pair.train, "k", "y", conf).cache(),
+        TupSk.sketchRight(pair.cand, "k", "x", AggFn.First, conf).cache())
+      p.cached.foreach(_.count())
+      p
     }
+    // The join times of every size, then each size's full-join and
+    // sketch-join samples.
+    val (fullJoinMs, sketchJoinMs, samples) =
+      try {
+        val fullJoinMs   = timeEachMs(prepared.map(p => () => p.fullJoin.count()))
+        val sketchJoinMs = timeEachMs(prepared.map(p => () => p.sketchJoin.count()))
+        val samples = prepared.map { p =>
+          val rows = p.fullJoin.select("x", "y").collect()
+          (Sketch.Sample(NumCol(rows.map(_.getDouble(0))), NumCol(rows.map(_.getDouble(1)))),
+           Sketch.collectSample(p.sketchJoin))
+        }
+        (fullJoinMs, sketchJoinMs, samples)
+      } finally prepared.flatMap(_.cached).foreach(_.unpersist())
 
     // The estimators are timed after all Spark work. JIT-compile them first
     // on the largest full join (at least 3 calls and 1 s), so that
     // compilation is not charged to the first size.
     def estimate(s: Sketch.Sample): () => Double =
       () => MI.estimate(EstimatorKind.MixedKSG, s.x, s.y)
-    val largest = estimate(joins.map(_.full).maxBy(_.size))
+    val largest = estimate(samples.map(_._1).maxBy(_.size))
     val warmEnd = System.nanoTime() + 1000000000L
     var calls   = 0
     while (calls < 3 || System.nanoTime() < warmEnd) { largest(); calls += 1 }
-    val fullMiMs   = timeEachMs(joins.map(j => estimate(j.full)))
-    val sketchMiMs = timeEachMs(joins.map(j => estimate(j.sketch)))
+    val fullMiMs   = timeEachMs(samples.map(s => estimate(s._1)))
+    val sketchMiMs = timeEachMs(samples.map(s => estimate(s._2)))
 
     sizes.indices.map { i =>
-      PerfRow(sizes(i), joins(i).fullJoinMs, joins(i).sketchJoinMs, fullMiMs(i), sketchMiMs(i))
+      PerfRow(sizes(i), fullJoinMs(i), sketchJoinMs(i), fullMiMs(i), sketchMiMs(i))
     }
   }
 

@@ -29,21 +29,24 @@ object DcKsg {
       i += 1
     }
 
-    // Keep only points whose class has more than one member.
-    val kept = groups.valuesIterator.filter(_.size > 1).flatten.toArray
-    val n    = kept.length
+    // Keep only classes with more than one member. Their values, class by
+    // class, form the marginal that m_i is counted on.
+    val kept     = groups.valuesIterator.filter(_.size > 1).toArray
+    val keptY    = kept.flatMap(_.map(cont(_)))
+    val n        = keptY.length
     if (n <= k) return 0.0
-
-    // Sorted continuous values over the kept points, for global range counts.
-    val sortedY = kept.map(cont(_)).sorted
+    val marginal = new Knn.Marginal(keptY)
 
     var sumPsiK = 0.0
     var sumPsiC = 0.0
     var sumPsiM = 0.0
-    for (g <- groups.valuesIterator if g.size > 1) {
+    var offset  = 0 // the class's first position in keptY
+    for (g <- kept) {
       val cSize = g.size
       val ki    = math.min(k, cSize - 1)
-      val gy    = g.map(cont(_)).toArray.sorted
+      // The class's positions in keptY, in the order of their values.
+      val pos   = Array.range(offset, offset + cSize).sortBy(keptY(_))
+      val gy    = pos.map(keptY(_))
       var p     = 0
       while (p < cSize) {
         val yi = gy(p)
@@ -56,29 +59,15 @@ object DcKsg {
           if (dLo <= dHi) { lo -= 1; r = dLo } else { hi += 1; r = dHi }
           found += 1
         }
-        // Global count of points within r of y_i (excluding self).
-        val mi = upperBound(sortedY, yi + r) - lowerBound(sortedY, yi - r) - 1
+        val mi = marginal.countWithin(pos(p), r)
         sumPsiK += digamma(ki.toDouble)
         sumPsiC += digamma(cSize.toDouble)
         sumPsiM += digamma(math.max(1, mi).toDouble)
         p += 1
       }
+      offset += cSize
     }
     val est = digamma(n.toDouble) + (sumPsiK - sumPsiC - sumPsiM) / n
     math.max(0.0, est)
-  }
-
-  /** First index with a(i) >= v. */
-  private def lowerBound(a: Array[Double], v: Double): Int = {
-    var lo = 0; var hi = a.length
-    while (lo < hi) { val m = (lo + hi) >>> 1; if (a(m) < v) lo = m + 1 else hi = m }
-    lo
-  }
-
-  /** First index with a(i) > v. */
-  private def upperBound(a: Array[Double], v: Double): Int = {
-    var lo = 0; var hi = a.length
-    while (lo < hi) { val m = (lo + hi) >>> 1; if (a(m) <= v) lo = m + 1 else hi = m }
-    lo
   }
 }

@@ -2,6 +2,7 @@ package repro.mi
 
 /** The k-nearest-neighbour search shared by [[Ksg]] and [[MixedKsg]]:
   * max-norm distances in the joint (x, y) space and counts on one marginal.
+  * [[DcKsg]] counts its m_i on a marginal too.
   *
   * O(N log N) on the estimators' inputs: each column is sorted once, a
   * point's k-th distance comes from a window widened outward from it along
@@ -46,28 +47,37 @@ private[mi] object Knn {
     def rank(i: Int): Int = countBelow(values(i), orEqual = false)
 
     /** Number of points j != i with |v(j) - v(i)| < r. */
-    def countCloser(i: Int, r: Double): Int = {
+    def countCloser(i: Int, r: Double): Int = countNear(i, r, orEqual = false)
+
+    /** Number of points j != i with |v(j) - v(i)| <= r, for a finite v(i). */
+    def countWithin(i: Int, r: Double): Int = countNear(i, r, orEqual = true)
+
+    private def countNear(i: Int, r: Double, orEqual: Boolean): Int = {
       val vi = values(i)
-      // No distance is below a radius <= 0 or NaN, and none from an infinite
-      // or NaN value is finite.
-      if (!(r > 0) || !java.lang.Double.isFinite(vi)) 0
+      def near(s: Double): Boolean = {
+        val d = math.abs(s - vi)
+        d < r || orEqual && d == r
+      }
+      // Nothing is closer than a radius <= 0 or within one < 0 or NaN, and
+      // no distance from an infinite or NaN value is finite.
+      if (!(r > 0 || orEqual && r == 0) || !java.lang.Double.isFinite(vi)) 0
       else {
-        // Along the sorted values `|s - vi| < r` is false, then true on a
-        // block that holds vi itself, then false again: search both ends of
-        // the block with that predicate (not with vi ± r, which rounds).
+        // Along the sorted values `near` is false, then true on a block that
+        // holds vi itself, then false again: search both ends of the block
+        // with that predicate (not with vi ± r, which rounds).
         var lo = 0
         var hi = sorted.length
         while (lo < hi) {
           val m = (lo + hi) >>> 1
           val s = sorted(m)
-          if (s < vi && !(math.abs(s - vi) < r)) lo = m + 1 else hi = m
+          if (s < vi && !near(s)) lo = m + 1 else hi = m
         }
         val start = lo
         hi = sorted.length
         while (lo < hi) {
           val m = (lo + hi) >>> 1
           val s = sorted(m)
-          if (s <= vi || math.abs(s - vi) < r) lo = m + 1 else hi = m
+          if (s <= vi || near(s)) lo = m + 1 else hi = m
         }
         lo - start - 1
       }

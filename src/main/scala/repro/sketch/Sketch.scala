@@ -1,6 +1,6 @@
 package repro.sketch
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.{Column, DataFrame, Row}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{DecimalType, DoubleType, FloatType, NumericType}
@@ -17,10 +17,12 @@ object Sketch {
   /** How the n-minimum-hash selection is executed. */
   sealed trait TopNImpl
   object TopNImpl {
-    /** Single-pass bounded-memory typed Aggregator (the UDAF path). */
-    case object Udaf extends TopNImpl
-    /** Catalyst `TakeOrderedAndProject` via orderBy+limit (cross-check path). */
+    /** Catalyst `TakeOrderedAndProject` via orderBy+limit: the program's path. */
     case object SortLimit extends TopNImpl
+    /** The typed [[KMinAggregator]] (a UDAF): the oracle the tests hold
+      * SortLimit to, and the path the benchmark's staged TUPSK times.
+      */
+    case object Udaf extends TopNImpl
   }
 
   /** Sketching parameters: the single size parameter n the paper advertises. */
@@ -72,9 +74,9 @@ object Sketch {
 
   /** Keep the n rows with minimum (hu, hkey) from a pre-sketch DataFrame
     * `[hkey, hu, vNum, vStr]`. Both implementations are deterministic and
-    * tested to agree exactly; the sketchers use the UDAF.
+    * tested to agree exactly; the sketchers use SortLimit.
     */
-  def topN(pre: DataFrame, n: Int, impl: TopNImpl = TopNImpl.Udaf): DataFrame = impl match {
+  def topN(pre: DataFrame, n: Int, impl: TopNImpl = TopNImpl.SortLimit): DataFrame = impl match {
     case TopNImpl.SortLimit =>
       pre.orderBy(col("hu").asc, col("hkey").asc).limit(n)
     case TopNImpl.Udaf =>
@@ -90,24 +92,30 @@ object Sketch {
 
   /** Merge two sketches into a sample of the join (Section IV, "Approach
     * Overview"): inner-join on the hashed key. The left (train) sketch holds
-    * the target Y, the right (candidate) sketch the feature X.
+    * the target Y, the right (candidate) sketch the feature X. Every right
+    * column but `hu` is carried through, so a [[TupSk.index]] row keeps its
+    * `cand`.
     */
   def join(left: DataFrame, right: DataFrame): DataFrame =
     left
       .select(col("hkey"), col("vNum") as "yNum", col("vStr") as "yStr")
-      .join(
-        right.select(col("hkey"), col("vNum") as "xNum", col("vStr") as "xStr"),
-        Seq("hkey"),
-      )
+      .join(right.drop("hu").withColumnsRenamed(Map("vNum" -> "xNum", "vStr" -> "xStr")), Seq("hkey"))
 
   /** A collected sketch-join sample ready for an MI estimator. */
   final case class Sample(x: ColData, y: ColData) { def size: Int = x.size }
 
-  /** Collect the joined sketch into typed columns. A column is numeric iff
-    * all its string slots are null (normalization guarantees homogeneity).
+  /** The sketch-join columns a [[Sample]] is read from, in [[toSample]]'s order. */
+  val SampleColumns: Seq[String] = Seq("xNum", "xStr", "yNum", "yStr")
+
+  /** Collect the joined sketch into typed columns. */
+  def collectSample(joined: DataFrame): Sample =
+    toSample(joined.select(SampleColumns.map(col): _*).collect())
+
+  /** Typed columns from sketch-join rows that start with [[SampleColumns]].
+    * A column is numeric iff all its string slots are null (normalization
+    * guarantees homogeneity).
     */
-  def collectSample(joined: DataFrame): Sample = {
-    val rows = joined.select("xNum", "xStr", "yNum", "yStr").collect()
+  def toSample(rows: Array[Row]): Sample = {
     def colOf(numIdx: Int, strIdx: Int): ColData = {
       val numeric = rows.forall(_.isNullAt(strIdx))
       if (numeric) NumCol(rows.map(_.getDouble(numIdx)))

@@ -1,6 +1,7 @@
 package repro.sketch
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.core.Hashing
 import repro.sketch.Sketch.SketchConf
@@ -26,9 +27,26 @@ object TupSk extends Sketcher {
   }
 
   def sketchRight(df: DataFrame, key: String, value: String, agg: AggFn,
-                  conf: SketchConf): DataFrame = {
-    val aggd = Featurize.aggregate(df, key, value, agg)
-    val pre  = Sketcher.pre(aggd, Hashing.huTuple(Hashing.SaltTuple, col("k"), lit(1)))
-    Sketch.topN(pre, conf.n)
+                  conf: SketchConf): DataFrame =
+    Sketch.topN(rightPre(Featurize.aggregate(df, key, value, agg)), conf.n)
+
+  /** Every candidate's right sketch in one lazy plan: the rows
+    * `sketchRight` gives for `augs(i)`, a `Featurize.aggregate` result, with
+    * `cand = i`. The pre-sketches are unioned and each candidate keeps its n
+    * minimum (hu, hkey) by a window over `cand`, so one sketch-join against
+    * the index serves every candidate.
+    */
+  def index(augs: Seq[DataFrame], conf: SketchConf): DataFrame = {
+    require(augs.nonEmpty, "an index needs at least one candidate")
+    val tagged = augs.zipWithIndex.map { case (aug, i) => rightPre(aug).withColumn("cand", lit(i)) }
+    val byHash = Window.partitionBy("cand").orderBy(col("hu"), col("hkey"))
+    tagged.reduce(_ unionByName _)
+      .withColumn("rank", row_number().over(byHash))
+      .filter(col("rank") <= conf.n)
+      .drop("rank")
   }
+
+  /** The right pre-sketch of an aggregated table: one ⟨k,1⟩ per key. */
+  private def rightPre(aggd: DataFrame): DataFrame =
+    Sketcher.pre(aggd, Hashing.huTuple(Hashing.SaltTuple, col("k"), lit(1)))
 }

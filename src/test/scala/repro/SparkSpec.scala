@@ -15,6 +15,26 @@ import org.scalatest.funsuite.AnyFunSuite
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
+  /** Ids of the Spark jobs that `body` ran. The status tracker sees jobs
+    * through the listener bus, in event order, so once a later marker job
+    * shows, every job of `body` does too.
+    */
+  protected def jobsOf(group: String)(body: => Unit): Seq[Int] = {
+    val sc = spark.sparkContext
+    def inGroup(g: String)(f: => Unit): Unit = {
+      sc.setJobGroup(g, g)
+      try f finally sc.clearJobGroup()
+    }
+    inGroup(group)(body)
+    inGroup(s"$group-marker")(spark.range(1).count())
+    val deadline = System.nanoTime() + 10L * 1000 * 1000 * 1000
+    while (sc.statusTracker.getJobIdsForGroup(s"$group-marker").isEmpty) {
+      assert(System.nanoTime() < deadline, "the marker job never showed")
+      Thread.sleep(10)
+    }
+    sc.statusTracker.getJobIdsForGroup(group).toSeq
+  }
+
   override def afterAll(): Unit = { super.afterAll() }
 }
 

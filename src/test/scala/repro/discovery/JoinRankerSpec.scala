@@ -1,9 +1,10 @@
 package repro.discovery
 
 import org.apache.spark.sql.functions._
+import org.scalacheck.{Gen, Prop, Test => SCTest}
 import repro.SparkSpec
 import repro.discovery.JoinRanker.Candidate
-import repro.sketch.{AggFn, Sketch}
+import repro.sketch.{AggFn, Featurize, Sketch, TupSk}
 import repro.stats.Rng
 
 class JoinRankerSpec extends SparkSpec {
@@ -96,5 +97,122 @@ class JoinRankerSpec extends SparkSpec {
       c.name -> mi
     }.sortBy(-_._2).map(_._1)
     assert(ranked.map(_.name) == fullOrder)
+  }
+
+  test("ranking no candidate returns Nil and runs no Spark job") {
+    val (train, _) = fixtures(6)
+    var ranked: Seq[JoinRanker.Ranked] = null
+    val jobs = jobsOf("rank-nothing") {
+      ranked = JoinRanker.rank(train, "k", "y", Nil, Sketch.SketchConf(64))
+    }
+    assert(ranked == Nil)
+    assert(jobs.isEmpty, s"ranking nothing ran jobs $jobs")
+  }
+
+  // A candidate adds one job, not a query: its `GROUP BY k` is a shuffle
+  // stage of its own, and adaptive query execution submits every shuffle
+  // stage as a job. The rest of the query's jobs do not depend on C.
+  test("rank's Spark jobs grow by one per candidate") {
+    val (train, cand) = fixtures(7)
+    val strCand = (0 until 3000).map(i => (i.toLong, s"c${i % 7}")).toDF("k", "x")
+    val cands = Seq(
+      Candidate("a", cand(0.9, 71), "k", "x", AggFn.Avg),
+      Candidate("b", strCand, "k", "x", AggFn.Mode),
+      Candidate("c", cand(0.5, 72), "k", "x", AggFn.Max),
+      Candidate("d", strCand, "k", "x", AggFn.Count),
+      Candidate("e", cand(0.1, 73), "k", "x", AggFn.Min),
+      Candidate("f", cand(0.0, 74), "k", "x", AggFn.First),
+    )
+    def jobs(c: Seq[Candidate]): Int =
+      jobsOf(s"rank-${c.size}")(JoinRanker.rank(train, "k", "y", c, Sketch.SketchConf(256))).size
+    val (two, six) = (jobs(cands.take(2)), jobs(cands))
+    assert(six - two == 4, s"2 candidates ran $two jobs, 6 ran $six")
+  }
+
+  test("two rank calls on the same tables give the same estimates, in whatever order rows arrive") {
+    val (train, cand) = fixtures(8)
+    val strCand = (0 until 3000).map(i => (i.toLong, s"c${i % 5}")).toDF("k", "x")
+    // AGGs whose result does not depend on the order of a key's rows, so
+    // that only the order in which the sketch-join's rows arrive varies.
+    val cands = Seq(
+      Candidate("max", cand(0.7, 81), "k", "x", AggFn.Max),
+      Candidate("str", strCand, "k", "x", AggFn.Mode),
+      Candidate("min", cand(0.2, 82), "k", "x", AggFn.Min),
+    )
+    // Without adaptive execution, which would coalesce these small shuffles
+    // into one partition, the shuffle partition count sets the order in which
+    // the sketch-join's rows arrive.
+    def ranked(partitions: Int): Seq[JoinRanker.Ranked] = {
+      val conf = Map("spark.sql.shuffle.partitions" -> partitions.toString, "spark.sql.adaptive.enabled" -> "false")
+      val prev = conf.keys.map(k => k -> spark.conf.get(k))
+      conf.foreach { case (k, v) => spark.conf.set(k, v) }
+      try JoinRanker.rank(train, "k", "y", cands, Sketch.SketchConf(1024))
+      finally prev.foreach { case (k, v) => spark.conf.set(k, v) }
+    }
+    val a = ranked(8)
+    for (b <- Seq(ranked(8), ranked(3), ranked(13))) {
+      assert(a.map(r => (r.name, r.sketchJoinSize)) == b.map(r => (r.name, r.sketchJoinSize)))
+      for ((x, y) <- a.zip(b))
+        assert(java.lang.Double.compare(x.estimatedMI, y.estimatedMI) == 0, s"$x vs $y")
+    }
+  }
+
+  /** A generated candidate: rows over keys `base until base + nKeys`, each
+    * with 1–3 one-decimal values, read as numbers or as strings.
+    */
+  private final case class GenCand(rows: Seq[(Long, Double)], nKeys: Int, numeric: Boolean, agg: AggFn)
+
+  private val genCandidate: Gen[GenCand] = for {
+    numeric <- Gen.oneOf(true, false)
+    agg     <- if (numeric) Gen.oneOf(AggFn.Avg, AggFn.Mode, AggFn.Count, AggFn.Max, AggFn.Min, AggFn.First)
+               else Gen.oneOf(AggFn.Mode, AggFn.Count, AggFn.First)
+    base    <- Gen.oneOf(0L, 1500L, 1000000L) // the last shares no train key
+    nKeys   <- Gen.oneOf(Gen.choose(1, 20), Gen.choose(200, 2000))
+    seed    <- Gen.choose(0L, 1000000L)
+  } yield {
+    val rng  = new Rng(seed)
+    val rows = for (k <- 0 until nKeys; _ <- 0 to rng.nextInt(3)) yield (base + k, rng.nextInt(30) / 10.0)
+    GenCand(rows, nKeys, numeric, agg)
+  }
+
+  private def multiset[T](xs: Seq[T]): Map[T, Int] = xs.groupBy(identity).map { case (k, v) => k -> v.size }
+
+  private def pairs(s: Sketch.Sample): Map[(AnyRef, AnyRef), Int] = multiset(s.x.anyValues.zip(s.y.anyValues))
+
+  test("the candidate index holds each candidate's sketchRight, and its samples equal the per-pair sketch-join (scalacheck)") {
+    val rng      = new Rng(9)
+    val train    = Seq.fill(4000)((rng.nextInt(2500).toLong, rng.nextInt(50) / 10.0)).toDF("k", "y").cache()
+    val trainStr = train.select(col("k"), concat(lit("t"), col("y").cast("string")) as "y").cache()
+    val genCands = Gen.choose(1, 3).flatMap(Gen.listOfN(_, genCandidate))
+    val prop = Prop.forAll(genCands, Gen.oneOf(1, 7, 256, 1024), Gen.oneOf(true, false)) {
+      (gens, n, numericY) =>
+        val conf  = Sketch.SketchConf(n)
+        val t     = if (numericY) train else trainStr
+        val cands = gens.zipWithIndex.map { case (g, i) =>
+          val df =
+            if (g.numeric) g.rows.toDF("k", "x")
+            else g.rows.map { case (k, v) => (k, s"s$v") }.toDF("k", "x")
+          Candidate(s"c$i", df, "k", "x", g.agg)
+        }
+        val index = TupSk.index(cands.map(c => Featurize.aggregate(c.df, c.key, c.value, c.agg)), conf)
+          .select("cand", "hkey", "hu", "vNum", "vStr").collect()
+        val samples = JoinRanker.samples(t, "k", "y", cands, conf)
+        cands.indices.forall { i =>
+          val c     = cands(i)
+          val right = TupSk.sketchRight(c.df, c.key, c.value, c.agg, conf)
+          val own   = right.select("hkey", "hu", "vNum", "vStr").collect().map(_.toSeq).toSeq
+          val pair  = Sketch.collectSample(Sketch.join(TupSk.sketchLeft(t, "k", "y", conf), right))
+          val ok =
+            own.size == math.min(n, gens(i).nKeys) &&
+            multiset(index.filter(_.getInt(0) == i).map(_.toSeq.tail).toSeq) == multiset(own) &&
+            pairs(samples(i)) == pairs(pair) &&
+            samples(i).x.isNumeric == pair.x.isNumeric && samples(i).y.isNumeric == pair.y.isNumeric
+          if (!ok) println(s"index oracle failed: n=$n numericY=$numericY, ${c.agg.name} candidate $i of ${cands.size}")
+          ok
+        }
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(12), prop)
+    train.unpersist(); trainStr.unpersist()
+    assert(res.passed, res.status.toString)
   }
 }

@@ -158,4 +158,17 @@ class KnnReferenceSpec extends AnyFunSuite {
     for (i <- v.indices if java.lang.Double.isFinite(v(i)))
       assert(m.countEqual(i) == scan(v, i, _ == 0.0), s"v(i)=${v(i)}")
   }
+
+  test("countWithin equals the scan at r = 0, r = +Inf and r equal to a gap") {
+    val rng = new Rng(8)
+    val v = Array.fill(300)(rng.nextInt(40) / 10.0) ++
+      Seq(0.0, -0.0, -0.0, Double.PositiveInfinity, Double.NegativeInfinity, Double.NaN, 1e308, -1e308)
+    val m = new Knn.Marginal(v)
+    val gaps = for (a <- v.distinct; b <- v.distinct if a != b) yield math.abs(a - b)
+    for (i <- v.indices if java.lang.Double.isFinite(v(i));
+         r <- Seq(0.0, Double.PositiveInfinity) ++ Seq.fill(5)(gaps(rng.nextInt(gaps.length)))) {
+      val scan = v.indices.count(j => j != i && math.abs(v(j) - v(i)) <= r)
+      assert(m.countWithin(i, r) == scan, s"v(i)=${v(i)} r=$r")
+    }
+  }
 }

@@ -120,26 +120,6 @@ class SketchJoinSpec extends SparkSpec {
       "t" -> trainDouble, "c" -> cand)
   }
 
-  /** Ids of the Spark jobs that `body` ran. The status tracker sees jobs
-    * through the listener bus, in event order, so once a later marker job
-    * shows, every job of `body` does too.
-    */
-  private def jobsOf(group: String)(body: => Unit): Seq[Int] = {
-    val sc = spark.sparkContext
-    def inGroup(g: String)(f: => Unit): Unit = {
-      sc.setJobGroup(g, g)
-      try f finally sc.clearJobGroup()
-    }
-    inGroup(group)(body)
-    inGroup(s"$group-marker")(spark.range(1).count())
-    val deadline = System.nanoTime() + 10L * 1000 * 1000 * 1000
-    while (sc.statusTracker.getJobIdsForGroup(s"$group-marker").isEmpty) {
-      assert(System.nanoTime() < deadline, "the marker job never showed")
-      Thread.sleep(10)
-    }
-    sc.statusTracker.getJobIdsForGroup(group).toSeq
-  }
-
   test("building every scheme's sketches runs no Spark job") {
     val train = Seq(("a", 1.0), ("a", 2.0), ("b", 3.0), ("c", 4.0)).toDF("k", "y")
     val cand  = Seq(("a", 5.0), ("b", 6.0), ("b", 7.0)).toDF("k", "x")
