@@ -44,22 +44,15 @@ object DcKsg {
     for (g <- kept) {
       val cSize = g.size
       val ki    = math.min(k, cSize - 1)
-      // The class's positions in keptY, in the order of their values.
+      // The class's positions in keptY, in the order of their values. The
+      // terms are summed in this order, as `DcKsgReference` sums them.
       val pos   = Array.range(offset, offset + cSize).sortBy(keptY(_))
-      val gy    = pos.map(keptY(_))
+      // With y on both axes the max-norm distance is |y_j - y_i|.
+      val cy    = new Knn.Marginal(pos.map(keptY(_)))
+      val r     = Knn.kthDistances(cy, cy, ki)
       var p     = 0
       while (p < cSize) {
-        val yi = gy(p)
-        // k_i-th NN distance within the class via two-pointer window growth
-        // on the sorted class values (self excluded).
-        var lo = p; var hi = p; var found = 0; var r = 0.0
-        while (found < ki) {
-          val dLo = if (lo > 0) yi - gy(lo - 1) else Double.PositiveInfinity
-          val dHi = if (hi < cSize - 1) gy(hi + 1) - yi else Double.PositiveInfinity
-          if (dLo <= dHi) { lo -= 1; r = dLo } else { hi += 1; r = dHi }
-          found += 1
-        }
-        val mi = marginal.countWithin(pos(p), r)
+        val mi = marginal.countWithin(pos(p), r(p))
         sumPsiK += digamma(ki.toDouble)
         sumPsiC += digamma(cSize.toDouble)
         sumPsiM += digamma(math.max(1, mi).toDouble)

@@ -1,8 +1,9 @@
 package repro.mi
 
-/** The k-nearest-neighbour search shared by [[Ksg]] and [[MixedKsg]]:
-  * max-norm distances in the joint (x, y) space and counts on one marginal.
-  * [[DcKsg]] counts its m_i on a marginal too.
+/** The one k-nearest-neighbour search of the k-NN estimators: max-norm
+  * distances in a joint (x, y) space and counts on one marginal.
+  * [[MixedKsg]] searches the (x, y) space; [[DcKsg]] searches each class's
+  * values, with y on both axes, and counts its m_i on the y marginal.
   *
   * O(N log N) on the estimators' inputs: each column is sorted once, a
   * point's k-th distance comes from a window widened outward from it along

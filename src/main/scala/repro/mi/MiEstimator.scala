@@ -31,10 +31,9 @@ final case class StrCol(values: Array[String]) extends ColData {
 sealed trait EstimatorKind { def name: String }
 object EstimatorKind {
   case object MLE      extends EstimatorKind { val name = "MLE"      }
-  case object KSG      extends EstimatorKind { val name = "KSG"      }
   case object MixedKSG extends EstimatorKind { val name = "MixedKSG" }
   case object DCKSG    extends EstimatorKind { val name = "DC-KSG"   }
-  val all: Seq[EstimatorKind] = Seq(MLE, KSG, MixedKSG, DCKSG)
+  val all: Seq[EstimatorKind] = Seq(MLE, MixedKSG, DCKSG)
 }
 
 object MI {
@@ -65,7 +64,6 @@ object MI {
     if (x.size < minSize(kind, k)) Double.NaN
     else (kind, x, y) match {
       case (EstimatorKind.MLE, _, _)                      => Mle.mi(x.anyValues, y.anyValues)
-      case (EstimatorKind.KSG, a: NumCol, b: NumCol)      => Ksg.mi(a.values, b.values, k)
       case (EstimatorKind.MixedKSG, a: NumCol, b: NumCol) => MixedKsg.mi(a.values, b.values, k)
       // The discrete side provides classes; MI is symmetric, so orient the
       // pair such that the continuous side is numeric. Numeric-numeric

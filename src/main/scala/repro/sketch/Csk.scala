@@ -17,18 +17,11 @@ object Csk extends Sketcher {
   val name = "CSK"
 
   def sketchLeft(df: DataFrame, key: String, value: String, conf: SketchConf): DataFrame =
-    oneRowPerKey(df, key, value, conf)
+    sketchRight(df, key, value, AggFn.First, conf)
 
   def sketchRight(df: DataFrame, key: String, value: String, agg: AggFn,
                   conf: SketchConf): DataFrame =
     // agg intentionally ignored: CSK keeps the first value seen rather than
     // applying an aggregation that would modify the original values.
-    oneRowPerKey(df, key, value, conf)
-
-  private def oneRowPerKey(df: DataFrame, key: String, value: String,
-                           conf: SketchConf): DataFrame = {
-    val firsts = Featurize.aggregate(df, key, value, AggFn.First)
-    val pre    = Sketcher.pre(firsts, Hashing.huKey(Hashing.SaltKey, col("k")))
-    Sketch.topN(pre, conf.n)
-  }
+    Sketcher.right(df, key, value, AggFn.First, Hashing.huKey(Hashing.SaltKey, col("k")), conf)
 }

@@ -63,9 +63,13 @@ object Featurize {
   }
 
   /** The paper's join-aggregation query (Section III-B): left-join the train
-    * table with the aggregated candidate, producing `[ky, y, xn, xstr]` (the
-    * feature in `xn` if numeric, else in `xstr`; both NULL on a miss). Used
-    * by the oracle tests and by full-join (non-sketched) MI estimation.
+    * table with the aggregated candidate, producing
+    * `[ky: string, y, xn: double, xstr: string]` (the feature in `xn` if
+    * numeric, else in `xstr`; both NULL on a miss). Both sides pass
+    * [[Sketch.normalize]]'s contract: a train row with a NULL key or target
+    * is dropped, a NaN or ±Inf value fails the query, and `y` is DOUBLE for
+    * a numeric target, else STRING. Used by the oracle tests and by
+    * full-join (non-sketched) MI estimation.
     */
   def augmentedJoin(train: DataFrame, trainKey: String, trainVal: String,
                     cand: DataFrame, candKey: String, candVal: String,
@@ -76,8 +80,9 @@ object Featurize {
         col("vNum") as "xn",
         col("vStr") as "xstr",
       )
-    train
-      .select(Sketch.keyString(train, trainKey) as "ky", train(trainVal) as "y")
+    val y = if (train.schema(trainVal).dataType.isInstanceOf[NumericType]) "vNum" else "vStr"
+    Sketch.normalize(train, trainKey, trainVal)
+      .select(col("k") as "ky", col(y) as "y")
       .join(aug, col("ky") === col("kx"), "left")
       .select(col("ky"), col("y"), col("xn"), col("xstr"))
   }

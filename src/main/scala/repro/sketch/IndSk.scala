@@ -21,9 +21,6 @@ object IndSk extends Sketcher {
   }
 
   def sketchRight(df: DataFrame, key: String, value: String, agg: AggFn,
-                  conf: SketchConf): DataFrame = {
-    val aggd = Featurize.aggregate(df, key, value, agg)
-    val pre  = Sketcher.pre(aggd, Hashing.huKey(Hashing.SaltIndRight, col("k")))
-    Sketch.topN(pre, conf.n)
-  }
+                  conf: SketchConf): DataFrame =
+    Sketcher.right(df, key, value, agg, Hashing.huKey(Hashing.SaltIndRight, col("k")), conf)
 }

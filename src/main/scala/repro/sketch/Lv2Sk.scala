@@ -45,13 +45,14 @@ private[sketch] object TwoLevel {
     val n    = conf.n
 
     // Level 1: select n keys by the scheme's key order. The table size N is
-    // the sum of the per-key counts, so building the sketch runs no job.
+    // the sum of the per-key counts, cross-joined onto the chosen keys, so
+    // building the sketch runs no job and no step gathers every key's count.
     val counts = norm.groupBy("k").agg(count(lit(1)) as "Nk")
-      .withColumn("N", sum("Nk").over())
       .withColumn("huKey", Hashing.huKey(Hashing.SaltKey, col("k")))
     val chosen = counts
       .orderBy(keyOrder(col("huKey"), col("Nk")).asc, col("k").asc)
       .limit(n)
+      .crossJoin(counts.agg(sum("Nk") as "N"))
 
     // Level 2: keep n_k = max(1, floor(n·N_k/N)) rows per chosen key, picked
     // in the order of an independent per-row hash (Bernoulli-style subset).
@@ -69,9 +70,7 @@ private[sketch] object TwoLevel {
                   conf: SketchConf): DataFrame = {
     // Aggregation makes keys unique, so both two-level schemes reduce to
     // uniform KMV over keys (all weights 1) on the candidate side.
-    val aggd = Featurize.aggregate(df, key, value, agg)
-    val pre  = Sketcher.pre(aggd, Hashing.huKey(Hashing.SaltKey, col("k")))
-    Sketch.topN(pre, conf.n)
+    Sketcher.right(df, key, value, agg, Hashing.huKey(Hashing.SaltKey, col("k")), conf)
   }
 }
 

@@ -151,4 +151,11 @@ object Sketcher {
       col("vNum"),
       col("vStr"),
     )
+
+  /** The candidate side of a scheme: `agg` of `df`'s (key, value) pair, one
+    * row per key, and the n of them with minimum (`hu`, hkey).
+    */
+  private[sketch] def right(df: DataFrame, key: String, value: String, agg: AggFn,
+                            hu: Column, conf: Sketch.SketchConf): DataFrame =
+    Sketch.topN(pre(Featurize.aggregate(df, key, value, agg), hu), conf.n)
 }

@@ -28,7 +28,7 @@ object TupSk extends Sketcher {
 
   def sketchRight(df: DataFrame, key: String, value: String, agg: AggFn,
                   conf: SketchConf): DataFrame =
-    Sketch.topN(rightPre(Featurize.aggregate(df, key, value, agg)), conf.n)
+    Sketcher.right(df, key, value, agg, rightHu, conf)
 
   /** Every candidate's right sketch in one lazy plan: the rows
     * `sketchRight` gives for `augs(i)`, a `Featurize.aggregate` result, with
@@ -38,7 +38,9 @@ object TupSk extends Sketcher {
     */
   def index(augs: Seq[DataFrame], conf: SketchConf): DataFrame = {
     require(augs.nonEmpty, "an index needs at least one candidate")
-    val tagged = augs.zipWithIndex.map { case (aug, i) => rightPre(aug).withColumn("cand", lit(i)) }
+    val tagged = augs.zipWithIndex.map { case (aug, i) =>
+      Sketcher.pre(aug, rightHu).withColumn("cand", lit(i))
+    }
     val byHash = Window.partitionBy("cand").orderBy(col("hu"), col("hkey"))
     tagged.reduce(_ unionByName _)
       .withColumn("rank", row_number().over(byHash))
@@ -46,7 +48,6 @@ object TupSk extends Sketcher {
       .drop("rank")
   }
 
-  /** The right pre-sketch of an aggregated table: one ⟨k,1⟩ per key. */
-  private def rightPre(aggd: DataFrame): DataFrame =
-    Sketcher.pre(aggd, Hashing.huTuple(Hashing.SaltTuple, col("k"), lit(1)))
+  /** The right side's hash: h_u(⟨k,1⟩), one tuple per aggregated key. */
+  private val rightHu = Hashing.huTuple(Hashing.SaltTuple, col("k"), lit(1))
 }

@@ -4,6 +4,69 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.stats.Rng
 import repro.stats.SpecialFunctions.digamma
 import repro.synth.CDUnif
+import scala.collection.mutable
+
+/** `DcKsg` takes each class's k_i-th distance from the shared `Knn`
+  * kernel. This is the two-pointer loop over the sorted class values it
+  * replaced, kept as an oracle: the estimates must agree bit for bit.
+  */
+object DcKsgReference {
+
+  def mi(classes: IndexedSeq[AnyRef], cont: Array[Double], k: Int = MI.DefaultK): Double = {
+    val n0 = cont.length
+    require(classes.size == n0, "DC-KSG: size mismatch")
+    require(n0 > k + 1, s"DC-KSG needs more than k+1=${k + 1} samples, got $n0")
+
+    // Group point indices by class.
+    val groups = mutable.LinkedHashMap.empty[AnyRef, mutable.ArrayBuffer[Int]]
+    var i = 0
+    while (i < n0) {
+      groups.getOrElseUpdate(classes(i), mutable.ArrayBuffer.empty[Int]) += i
+      i += 1
+    }
+
+    // Keep only classes with more than one member. Their values, class by
+    // class, form the marginal that m_i is counted on.
+    val kept     = groups.valuesIterator.filter(_.size > 1).toArray
+    val keptY    = kept.flatMap(_.map(cont(_)))
+    val n        = keptY.length
+    if (n <= k) return 0.0
+    val marginal = new Knn.Marginal(keptY)
+
+    var sumPsiK = 0.0
+    var sumPsiC = 0.0
+    var sumPsiM = 0.0
+    var offset  = 0 // the class's first position in keptY
+    for (g <- kept) {
+      val cSize = g.size
+      val ki    = math.min(k, cSize - 1)
+      // The class's positions in keptY, in the order of their values.
+      val pos   = Array.range(offset, offset + cSize).sortBy(keptY(_))
+      val gy    = pos.map(keptY(_))
+      var p     = 0
+      while (p < cSize) {
+        val yi = gy(p)
+        // k_i-th NN distance within the class via two-pointer window growth
+        // on the sorted class values (self excluded).
+        var lo = p; var hi = p; var found = 0; var r = 0.0
+        while (found < ki) {
+          val dLo = if (lo > 0) yi - gy(lo - 1) else Double.PositiveInfinity
+          val dHi = if (hi < cSize - 1) gy(hi + 1) - yi else Double.PositiveInfinity
+          if (dLo <= dHi) { lo -= 1; r = dLo } else { hi += 1; r = dHi }
+          found += 1
+        }
+        val mi = marginal.countWithin(pos(p), r)
+        sumPsiK += digamma(ki.toDouble)
+        sumPsiC += digamma(cSize.toDouble)
+        sumPsiM += digamma(math.max(1, mi).toDouble)
+        p += 1
+      }
+      offset += cSize
+    }
+    val est = digamma(n.toDouble) + (sumPsiK - sumPsiC - sumPsiM) / n
+    math.max(0.0, est)
+  }
+}
 
 class DcKsgSpec extends AnyFunSuite {
   private def cls(xs: Array[Int]): IndexedSeq[AnyRef] = xs.map(Integer.valueOf(_): AnyRef).toIndexedSeq
@@ -112,6 +175,28 @@ class DcKsgSpec extends AnyFunSuite {
       val got = DcKsg.mi(cls(xs), ys, k)
       val ref = scanned(cls(xs), ys, k)
       assert(ref > 0 && math.abs(got - ref) < 1e-12, s"seed=$seed k=$k got=$got scanned=$ref")
+    }
+  }
+
+  test("DC-KSG matches the two-pointer reference bit for bit") {
+    // Ties, signed zeros and one-decimal values put several points at the
+    // same distance; many small classes exercise k_i < k.
+    val shapes: Seq[(String, (Rng, Int) => Double)] = Seq(
+      "continuous"   -> ((r, _) => r.nextGaussian()),
+      "few values"   -> ((r, _) => r.nextInt(5).toDouble),
+      "signed zeros" -> ((r, _) =>
+        if (r.nextInt(3) == 0) r.nextInt(3) - 1.0 else if (r.nextInt(2) == 0) 0.0 else -0.0),
+      "one decimal"  -> ((r, c) => (c * 40 + r.nextInt(60)) / 10.0),
+    )
+    val rng = new Rng(9)
+    for ((name, gen) <- shapes; k <- 1 to 5;
+         n <- Seq(k + 2, k + 3) ++ Seq.fill(4)(k + 2 + rng.nextInt(500)) :+ (2000 + rng.nextInt(1001));
+         nClasses <- Seq(2, 1 + n / 3)) {
+      val xs  = Array.fill(n)(rng.nextInt(nClasses))
+      val ys  = xs.map(c => gen(rng, c))
+      val got = DcKsg.mi(cls(xs), ys, k)
+      val ref = DcKsgReference.mi(cls(xs), ys, k)
+      assert(java.lang.Double.compare(got, ref) == 0, s"$name k=$k n=$n classes=$nClasses got=$got ref=$ref")
     }
   }
 }

@@ -25,13 +25,10 @@ class MiDispatchSpec extends AnyFunSuite {
   }
 
   test("k-NN estimators return NaN on samples too small for k") {
-    assert(MI.estimate(EstimatorKind.KSG, nums(3), nums(3)).isNaN)
     assert(MI.estimate(EstimatorKind.MixedKSG, nums(4), nums(4)).isNaN)
     assert(MI.estimate(EstimatorKind.DCKSG, strs(4), nums(4)).isNaN)
     // Exact boundary: n = k+1 is too small, n = k+2 is estimated.
     for (k <- Seq(1, MI.DefaultK)) {
-      assert(MI.estimate(EstimatorKind.KSG, nums(k + 1), nums(k + 1), k).isNaN)
-      assert(!MI.estimate(EstimatorKind.KSG, nums(k + 2), nums(k + 2), k).isNaN)
       assert(MI.estimate(EstimatorKind.MixedKSG, nums(k + 1), nums(k + 1), k).isNaN)
       assert(!MI.estimate(EstimatorKind.MixedKSG, nums(k + 2), nums(k + 2), k).isNaN)
       assert(MI.estimate(EstimatorKind.DCKSG, strs(k + 1), nums(k + 1), k).isNaN)
@@ -67,7 +64,7 @@ class MiDispatchSpec extends AnyFunSuite {
   }
 
   test("estimator kinds expose stable names") {
-    assert(EstimatorKind.all.map(_.name) == Seq("MLE", "KSG", "MixedKSG", "DC-KSG"))
+    assert(EstimatorKind.all.map(_.name) == Seq("MLE", "MixedKSG", "DC-KSG"))
   }
 
   test("ColData reports size and type") {

@@ -96,6 +96,34 @@ class FeaturizeSpec extends SparkSpec {
       "train" -> train, "cand" -> candNum)
   }
 
+  test("the join-aggregation drops a train row whose target is NULL, as DuckDB's filter does") {
+    val train  = Seq(("a", Some(10.0)), ("a", None), ("b", Some(12.0)), ("d", None), ("d", Some(14.0)))
+      .toDF("k", "y")
+    val joined = Featurize.augmentedJoin(train, "k", "y", candNum, "k", "z", AggFn.Avg)
+      .select(col("ky"), col("y"), col("xn") as "x")
+    assert(joined.count() == 3)
+    Oracle.assertEquivalent(joined,
+      """SELECT t.k AS ky, CAST(t.y AS DOUBLE) AS y, a.x AS x
+        |FROM train t LEFT JOIN (
+        |  SELECT k, AVG(CAST(z AS DOUBLE)) AS x FROM cand GROUP BY k
+        |) a ON t.k = a.k
+        |WHERE t.y IS NOT NULL""".stripMargin,
+      "train" -> train, "cand" -> candNum)
+  }
+
+  test("the join-aggregation's output schema is [ky, y, xn, xstr], y DOUBLE for a numeric target") {
+    import org.apache.spark.sql.types.{DataType, DoubleType, IntegerType, StringType}
+    def fields(df: DataFrame): Seq[(String, DataType)] =
+      df.schema.fields.toSeq.map(f => f.name -> f.dataType)
+    val intTarget = Seq(("a", 1), ("b", 2)).toDF("k", "y")
+    assert(intTarget.schema("y").dataType == IntegerType)
+    assert(fields(Featurize.augmentedJoin(intTarget, "k", "y", candNum, "k", "z", AggFn.Avg)) ==
+      Seq("ky" -> StringType, "y" -> DoubleType, "xn" -> DoubleType, "xstr" -> StringType))
+    val strTarget = Seq(("a", "u"), ("b", "v")).toDF("k", "y")
+    assert(fields(Featurize.augmentedJoin(strTarget, "k", "y", candNum, "k", "z", AggFn.Mode)) ==
+      Seq("ky" -> StringType, "y" -> StringType, "xn" -> DoubleType, "xstr" -> StringType))
+  }
+
   test("FIRST keeps the first value seen per key (string values)") {
     val c = Seq(("a", "u"), ("a", "v"), ("b", "w")).toDF("k", "z")
     val agg = Featurize.aggregateNorm(Sketch.normalize(c, "k", "z"), AggFn.First)

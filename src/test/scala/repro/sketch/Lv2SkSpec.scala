@@ -1,5 +1,6 @@
 package repro.sketch
 
+import org.apache.spark.sql.catalyst.plans.logical.Window
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.core.Hashing
@@ -128,5 +129,15 @@ class Lv2SkSpec extends SparkSpec {
     val df = repro.SynthData.zipfKeys(spark, rows = 8000, nKeys = 1500, seed = 10)
     val c  = PriSk.sketchLeft(df, "k", "v", SketchConf(200)).count()
     assert(c >= 200 && c <= 400, s"size=$c")
+  }
+
+  test("neither two-level scheme gathers the whole table into one window") {
+    // A window with no PARTITION BY moves every row it reads into one task.
+    val df = repro.SynthData.zipfKeys(spark, rows = 1000, nKeys = 200, seed = 11)
+    for (sk <- Seq(Lv2Sk, PriSk)) {
+      val plan = sk.sketchLeft(df, "k", "v", SketchConf(64)).queryExecution.optimizedPlan
+      val unpartitioned = plan.collect { case w: Window if w.partitionSpec.isEmpty => w }
+      assert(unpartitioned.isEmpty, s"${sk.name}: ${unpartitioned.mkString("; ")}")
+    }
   }
 }

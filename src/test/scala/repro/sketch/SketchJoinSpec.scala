@@ -149,6 +149,7 @@ class SketchJoinSpec extends SparkSpec {
         rejects(sk.sketchRight(df, "k", "v", AggFn.Avg, conf))
       }
       rejects(Featurize.augmentedJoin(train, "k", "y", df, "k", "v", AggFn.Avg))
+      rejects(Featurize.augmentedJoin(df, "k", "v", train, "k", "y", AggFn.Avg))
     }
   }
 
