@@ -59,7 +59,7 @@ object JoinRanker {
                                  conf: Sketch.SketchConf): Seq[Sketch.Sample] =
     if (candidates.isEmpty) Nil
     else {
-      val index = TupSk.index(candidates.map(c => Featurize.aggregate(c.df, c.key, c.value, c.agg)), conf)
+      val index = TupSk.index(candidates.map(c => Featurize.Feature(c.df, c.key, c.value, c.agg)), conf)
       val rows = Sketch.join(TupSk.sketchLeft(train, trainKey, target, conf), index)
         .select((Sketch.SampleColumns ++ Seq("cand", "hkey")).map(col): _*)
         .collect()

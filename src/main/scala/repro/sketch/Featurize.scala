@@ -30,24 +30,55 @@ object Featurize {
   def numericFeature(df: DataFrame, value: String, agg: AggFn): Boolean =
     agg == AggFn.Count || df.schema(value).dataType.isInstanceOf[NumericType]
 
+  /** A candidate's feature: `agg` of `df`'s `value` column per `key`. */
+  final case class Feature(df: DataFrame, key: String, value: String, agg: AggFn)
+
   /** Normalize `df`'s (key, value) pair and aggregate it to one row per key:
     * `[k, vNum, vStr]`, the `T_aug` side of every sketch and of the full
     * join. AVG, MAX and MIN of a non-numeric column are rejected rather than
     * turned into NULL features.
     */
-  def aggregate(df: DataFrame, key: String, value: String, agg: AggFn): DataFrame = {
-    val tpe = df.schema(value).dataType
-    require(tpe.isInstanceOf[NumericType] || !NumericOnly(agg),
-      s"${agg.name} needs a numeric column, but $value is ${tpe.simpleString}")
-    aggregateNorm(Sketch.normalize(df, key, value), agg)
+  def aggregate(df: DataFrame, key: String, value: String, agg: AggFn): DataFrame =
+    aggregateNorm(normalize(Feature(df, key, value, agg)), agg)
+
+  /** Every feature aggregated to one row per (cand, key):
+    * `[cand, k, vNum, vStr]`, where `cand` is the feature's index in
+    * `features` and each (cand, k) row is what [[aggregate]] gives for that
+    * feature. The features that share an AGG are unioned and aggregated in
+    * one `GROUP BY (cand, k)`, so the plan holds one aggregate per distinct
+    * AGG, not one per feature. A shared aggregate mixing AGGs would not do:
+    * MODE's sort-based fallback would then read every feature's rows.
+    */
+  def aggregateAll(features: Seq[Feature]): DataFrame = {
+    val tagged = features.zipWithIndex
+    features.map(_.agg).distinct.map { agg =>
+      val group = tagged.collect { case (f, i) if f.agg == agg => normalize(f).withColumn("cand", lit(i)) }
+      aggregateBy(group.reduce(_ unionByName _), agg, "cand", "k")
+    }.reduce(_ unionByName _)
   }
 
   /** Aggregate a normalized table `[k, vNum, vStr, rid]` to one row per key
     * in one `GROUP BY k`, keeping the normalized value representation:
-    * `[k, vNum, vStr]`. FIRST picks the value of the smallest `rid`; MODE
-    * breaks ties to the smallest value and counts -0.0 as 0.0.
+    * `[k, vNum, vStr]`.
     */
-  def aggregateNorm(norm: DataFrame, agg: AggFn): DataFrame = {
+  def aggregateNorm(norm: DataFrame, agg: AggFn): DataFrame = aggregateBy(norm, agg, "k")
+
+  /** [[Sketch.normalize]] of a feature's (key, value) pair, once its AGG is
+    * known to accept the column's type.
+    */
+  private def normalize(f: Feature): DataFrame = {
+    val tpe = f.df.schema(f.value).dataType
+    require(tpe.isInstanceOf[NumericType] || !NumericOnly(f.agg),
+      s"${f.agg.name} needs a numeric column, but ${f.value} is ${tpe.simpleString}")
+    Sketch.normalize(f.df, f.key, f.value)
+  }
+
+  /** `agg` of normalized rows `[…keys, vNum, vStr, rid]` in one
+    * `GROUP BY keys`: `[…keys, vNum, vStr]`. FIRST picks the value of the
+    * smallest `rid`; MODE breaks ties to the smallest value and counts -0.0
+    * as 0.0.
+    */
+  private def aggregateBy(norm: DataFrame, agg: AggFn, keys: String*): DataFrame = {
     val noStr = lit(null).cast("string")
     val (vNum, vStr) = agg match {
       case AggFn.First => (min_by(col("vNum"), col("rid")), min_by(col("vStr"), col("rid")))
@@ -59,7 +90,7 @@ object Featurize {
       case AggFn.Max   => (max("vNum"), noStr)
       case AggFn.Min   => (min("vNum"), noStr)
     }
-    norm.groupBy("k").agg(vNum as "vNum", vStr as "vStr")
+    norm.groupBy(keys.head, keys.tail: _*).agg(vNum as "vNum", vStr as "vStr")
   }
 
   /** The paper's join-aggregation query (Section III-B): left-join the train

@@ -143,14 +143,14 @@ object Sketcher {
   /** All schemes evaluated in the paper's Tables I/II. */
   def all: Seq[Sketcher] = Seq(Csk, IndSk, Lv2Sk, PriSk, TupSk)
 
-  /** Build a pre-sketch `[hkey, hu, vNum, vStr]` from normalized rows. */
-  private[sketch] def pre(norm: DataFrame, hu: Column): DataFrame =
-    norm.select(
+  /** Build a pre-sketch `[hkey, hu, vNum, vStr, …extra]` from normalized rows. */
+  private[sketch] def pre(norm: DataFrame, hu: Column, extra: Column*): DataFrame =
+    norm.select(Seq(
       repro.core.Hashing.hkey(col("k")) as "hkey",
       hu as "hu",
       col("vNum"),
       col("vStr"),
-    )
+    ) ++ extra: _*)
 
   /** The candidate side of a scheme: `agg` of `df`'s (key, value) pair, one
     * row per key, and the n of them with minimum (`hu`, hkey).

@@ -31,18 +31,16 @@ object TupSk extends Sketcher {
     Sketcher.right(df, key, value, agg, rightHu, conf)
 
   /** Every candidate's right sketch in one lazy plan: the rows
-    * `sketchRight` gives for `augs(i)`, a `Featurize.aggregate` result, with
-    * `cand = i`. The pre-sketches are unioned and each candidate keeps its n
-    * minimum (hu, hkey) by a window over `cand`, so one sketch-join against
-    * the index serves every candidate.
+    * `sketchRight` gives for `features(i)`, with `cand = i`. The candidates
+    * are aggregated by [[Featurize.aggregateAll]], one `GROUP BY (cand, k)`
+    * per distinct AGG, and each keeps its n minimum (hu, hkey) by a window
+    * over `cand`, so one sketch-join against the index serves every
+    * candidate.
     */
-  def index(augs: Seq[DataFrame], conf: SketchConf): DataFrame = {
-    require(augs.nonEmpty, "an index needs at least one candidate")
-    val tagged = augs.zipWithIndex.map { case (aug, i) =>
-      Sketcher.pre(aug, rightHu).withColumn("cand", lit(i))
-    }
+  def index(features: Seq[Featurize.Feature], conf: SketchConf): DataFrame = {
+    require(features.nonEmpty, "an index needs at least one candidate")
     val byHash = Window.partitionBy("cand").orderBy(col("hu"), col("hkey"))
-    tagged.reduce(_ unionByName _)
+    Sketcher.pre(Featurize.aggregateAll(features), rightHu, col("cand"))
       .withColumn("rank", row_number().over(byHash))
       .filter(col("rank") <= conf.n)
       .drop("rank")

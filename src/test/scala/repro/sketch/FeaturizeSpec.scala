@@ -5,6 +5,8 @@ import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import repro.{Oracle, SparkSpec}
+import repro.discovery.JoinRanker
+import repro.discovery.JoinRanker.Candidate
 
 /** The MODE `Featurize.aggregateNorm` used before it became one `GROUP BY k`:
   * count every (k, value) pair, then keep each key's most frequent value,
@@ -203,6 +205,14 @@ class FeaturizeSpec extends SparkSpec {
         TupSk.sketchRight(candStr, "k", "z", agg, Sketch.SketchConf(8)))
     intercept[IllegalArgumentException](
       Featurize.augmentedJoin(train, "k", "y", candStr, "k", "z", AggFn.Avg))
+    // In the discovery query the string column shares its AVG aggregate with
+    // a numeric one; it is still named, before any Spark job runs.
+    val cands = Seq(Candidate("num", train, "k", "y", AggFn.Avg), Candidate("str", candStr, "k", "z", AggFn.Avg))
+    val jobs = jobsOf("rank-avg-string") {
+      val e = intercept[IllegalArgumentException](JoinRanker.rank(train, "k", "y", cands, Sketch.SketchConf(8)))
+      assert(e.getMessage.contains("AVG needs a numeric column, but z is string"), e.getMessage)
+    }
+    assert(jobs.isEmpty, s"rejecting the candidate ran jobs $jobs")
     // COUNT, FIRST and MODE do not read the value as a number.
     for (agg <- Seq(AggFn.Count, AggFn.First, AggFn.Mode))
       assert(Featurize.aggregate(candStr, "k", "z", agg).count() == 2)

@@ -3,6 +3,8 @@ package repro.sketch
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
+import repro.discovery.JoinRanker
+import repro.discovery.JoinRanker.Candidate
 import repro.mi.{EstimatorKind, MI}
 import repro.sketch.Sketch.SketchConf
 import repro.stats.Rng
@@ -131,11 +133,14 @@ class SketchJoinSpec extends SparkSpec {
       }
       assert(jobs.isEmpty, s"${sk.name} ran jobs $jobs while building its sketches")
     }
+    val features = Seq(AggFn.Mode, AggFn.Avg, AggFn.Mode, AggFn.First).map(Featurize.Feature(cand, "k", "x", _))
+    val jobs = jobsOf("build-index")(TupSk.index(features, conf))
+    assert(jobs.isEmpty, s"TUPSK ran jobs $jobs while building the candidate index")
   }
 
   test("NaN and infinite values are rejected loudly (every scheme)") {
-    def rejects(df: => DataFrame): Unit = {
-      val e = intercept[Exception](df.collect())
+    def rejects(run: => Any): Unit = {
+      val e = intercept[Exception](run)
       val msgs = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
         .flatMap(t => Option(t.getMessage))
       assert(msgs.exists(_.contains("column v holds NaN or an infinite value")), e.toString)
@@ -145,11 +150,14 @@ class SketchJoinSpec extends SparkSpec {
     for (bad <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
       val df = Seq(("a", 1.0), ("b", bad), ("b", 3.0)).toDF("k", "v")
       for (sk <- Sketcher.all) {
-        rejects(sk.sketchLeft(df, "k", "v", conf))
-        rejects(sk.sketchRight(df, "k", "v", AggFn.Avg, conf))
+        rejects(sk.sketchLeft(df, "k", "v", conf).collect())
+        rejects(sk.sketchRight(df, "k", "v", AggFn.Avg, conf).collect())
       }
-      rejects(Featurize.augmentedJoin(train, "k", "y", df, "k", "v", AggFn.Avg))
-      rejects(Featurize.augmentedJoin(df, "k", "v", train, "k", "y", AggFn.Avg))
+      rejects(Featurize.augmentedJoin(train, "k", "y", df, "k", "v", AggFn.Avg).collect())
+      rejects(Featurize.augmentedJoin(df, "k", "v", train, "k", "y", AggFn.Avg).collect())
+      // The bad candidate shares its AGG, and so its aggregate, with a clean one.
+      rejects(JoinRanker.rank(train, "k", "y",
+        Seq(Candidate("clean", train, "k", "y", AggFn.Avg), Candidate("bad", df, "k", "v", AggFn.Avg)), conf))
     }
   }
 
