@@ -50,7 +50,7 @@ object Hashing {
   val SaltTuple = 1
   /** Salt for key-level (KMV) sampling: LV2SK/PRISK first level and CSK. */
   val SaltKey = 2
-  /** Salt for LV2SK/PRISK second-level Bernoulli sampling within a key. */
+  /** Salt for LV2SK/PRISK's second level: the order of a chosen key's ⟨k, j⟩. */
   val SaltSecondLevel = 3
   /** Independent (uncoordinated) salts for INDSK's two tables. */
   val SaltIndLeft  = 4

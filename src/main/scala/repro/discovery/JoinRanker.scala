@@ -50,9 +50,8 @@ object JoinRanker {
 
   /** Each candidate's TUPSK sketch-join sample, from one sketch-join of the
     * train sketch with [[TupSk.index]] and one collect; no Spark job runs
-    * when there is no candidate. A candidate's rows are sorted by their
-    * content (hkey, then the target), not taken in arrival order, so the
-    * same inputs give the same sample, and the same estimate, every time.
+    * when there is no candidate. [[Sketch.toSample]] puts each candidate's
+    * rows in one order, so the same inputs give the same estimates.
     */
   private[discovery] def samples(train: DataFrame, trainKey: String, target: String,
                                  candidates: Seq[Candidate],
@@ -61,16 +60,9 @@ object JoinRanker {
     else {
       val index = TupSk.index(candidates.map(c => Featurize.Feature(c.df, c.key, c.value, c.agg)), conf)
       val rows = Sketch.join(TupSk.sketchLeft(train, trainKey, target, conf), index)
-        .select((Sketch.SampleColumns ++ Seq("cand", "hkey")).map(col): _*)
+        .select((Sketch.SampleColumns :+ "cand").map(col): _*)
         .collect()
-      // A right sketch holds one row per hkey, so (hkey, y) orders a
-      // candidate's rows up to rows that are equal.
-      import Ordering.Double.TotalOrdering
-      val sorted =
-        if (train.schema(target).dataType.isInstanceOf[NumericType])
-          rows.sortBy(r => (r.getInt(4), r.getLong(5), r.getDouble(2)))
-        else rows.sortBy(r => (r.getInt(4), r.getLong(5), r.getString(3)))
-      val byCand = sorted.groupBy(_.getInt(4))
+      val byCand = rows.groupBy(_.getInt(Sketch.SampleColumns.size))
       candidates.indices.map(i => Sketch.toSample(byCand.getOrElse(i, Array.empty[Row])))
     }
 }

@@ -7,11 +7,11 @@ import repro.sketch.Sketch.SketchConf
 
 /** CSK — Correlation Sketches (Santos et al., SIGMOD 2021) extended to MI
   * (Section V, "Sketching Methods"). CSK does not prescribe repeated-key
-  * handling, so on both tables we keep the *first value seen* per key and
-  * then the n keys with minimum h_u(k). Coordination is full (same key-level
-  * hash on both sides), but the left table's key-frequency structure — which
-  * the left join would replicate into the feature column — is lost, which is
-  * the estimation bias this baseline demonstrates.
+  * handling, so on both tables we keep FIRST's value per key and then the n
+  * keys with minimum h_u(k). Coordination is full (same key-level hash on
+  * both sides), but the left table's key-frequency structure — which the
+  * left join would replicate into the feature column — is lost, which is the
+  * estimation bias this baseline demonstrates.
   */
 object Csk extends Sketcher {
   val name = "CSK"
@@ -21,7 +21,7 @@ object Csk extends Sketcher {
 
   def sketchRight(df: DataFrame, key: String, value: String, agg: AggFn,
                   conf: SketchConf): DataFrame =
-    // agg intentionally ignored: CSK keeps the first value seen rather than
+    // agg intentionally ignored: CSK keeps one of the key's values rather than
     // applying an aggregation that would modify the original values.
     Sketcher.right(df, key, value, AggFn.First, Hashing.huKey(Hashing.SaltKey, col("k")), conf)
 }

@@ -1,6 +1,6 @@
 package repro.sketch
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, functions}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.NumericType
 
@@ -9,7 +9,9 @@ import org.apache.spark.sql.types.NumericType
   */
 sealed trait AggFn { def name: String }
 object AggFn {
-  /** First value seen per key, in row order — CSK's repeated-key handling. */
+  /** The value of the key's least row in [[Sketch.contentOrder]]: CSK's
+    * "first value seen" in a table, which has no row order of its own.
+    */
   case object First extends AggFn { val name = "FIRST" }
   case object Avg   extends AggFn { val name = "AVG"   }
   case object Count extends AggFn { val name = "COUNT" }
@@ -57,7 +59,7 @@ object Featurize {
     }.reduce(_ unionByName _)
   }
 
-  /** Aggregate a normalized table `[k, vNum, vStr, rid]` to one row per key
+  /** Aggregate a normalized table `[k, vNum, vStr]` to one row per key
     * in one `GROUP BY k`, keeping the normalized value representation:
     * `[k, vNum, vStr]`.
     */
@@ -73,19 +75,20 @@ object Featurize {
     Sketch.normalize(f.df, f.key, f.value)
   }
 
-  /** `agg` of normalized rows `[…keys, vNum, vStr, rid]` in one
+  /** `agg` of normalized rows `[…keys, vNum, vStr]` in one
     * `GROUP BY keys`: `[…keys, vNum, vStr]`. FIRST picks the value of the
-    * smallest `rid`; MODE breaks ties to the smallest value and counts -0.0
-    * as 0.0.
+    * least row in [[Sketch.contentOrder]]; MODE breaks ties to the smallest
+    * value; AVG sums each key's values in ascending order.
     */
   private def aggregateBy(norm: DataFrame, agg: AggFn, keys: String*): DataFrame = {
-    val noStr = lit(null).cast("string")
+    val noStr  = lit(null).cast("string")
+    val first  = struct(Sketch.contentOrder: _*)
     val (vNum, vStr) = agg match {
-      case AggFn.First => (min_by(col("vNum"), col("rid")), min_by(col("vStr"), col("rid")))
-      // IEEE -0.0 + 0.0 = 0.0: `mode` would otherwise count the two apart.
-      case AggFn.Mode  => (mode(col("vNum") + 0.0, deterministic = true),
+      case AggFn.First => (min_by(col("vNum"), first), min_by(col("vStr"), first))
+      case AggFn.Mode  => (mode(col("vNum"), deterministic = true),
                            mode(col("vStr"), deterministic = true))
-      case AggFn.Avg   => (avg("vNum"), noStr)
+      // Sorted: `avg` sums in arrival order, whose last bits move with partitioning.
+      case AggFn.Avg   => (functions.aggregate(array_sort(collect_list("vNum")), lit(0.0), _ + _) / count(lit(1)), noStr)
       case AggFn.Count => (count(lit(1)).cast("double"), noStr)
       case AggFn.Max   => (max("vNum"), noStr)
       case AggFn.Min   => (min("vNum"), noStr)

@@ -10,9 +10,9 @@ import repro.sketch.Sketch.SketchConf
   *
   * Level 1: coordinated KMV sampling — keep the n join keys with minimum
   * h_u(k). Level 2: for each kept key k with frequency N_k in a table of N
-  * rows, keep n_k = max(1, floor(n·N_k/N)) of its rows via independent
-  * Bernoulli (hash-ordered) sampling. Sketch size is in [n, 2n] whenever the
-  * key domain has at least n values. Row inclusion probability depends on the
+  * rows, keep n_k = max(1, floor(n·N_k/N)) of its rows, ranked by an
+  * independent hash of ⟨k, j⟩. Sketch size is in [n, 2n] whenever the key
+  * domain has at least n values. Row inclusion probability depends on the
   * key-frequency distribution — the non-uniformity TUPSK removes.
   */
 object Lv2Sk extends Sketcher {
@@ -54,16 +54,16 @@ private[sketch] object TwoLevel {
       .limit(n)
       .crossJoin(counts.agg(sum("Nk") as "N"))
 
-    // Level 2: keep n_k = max(1, floor(n·N_k/N)) rows per chosen key, picked
-    // in the order of an independent per-row hash (Bernoulli-style subset).
-    val withJ = Sketch.withOccurrence(norm)
-      .join(chosen, Seq("k"))
-      .withColumn("hu2", Hashing.huTuple(Hashing.SaltSecondLevel, col("k"), col("j")))
-      .withColumn("rank", row_number().over(Window.partitionBy("k").orderBy(col("hu2"), col("j"))))
-      .withColumn("nk", greatest(lit(1L), floor(lit(n.toLong) * col("Nk") / col("N"))))
-      .filter(col("rank") <= col("nk"))
+    // Level 2: each chosen key's n_k = max(1, floor(n·N_k/N)) occurrences of
+    // least h_u(⟨k, j⟩). Not its first n_k in content order: equal rows share
+    // a content hash, so those would be kept or dropped all together.
+    val byHash = Window.partitionBy("k")
+      .orderBy(Hashing.huTuple(Hashing.SaltSecondLevel, col("k"), col("j")), col("j"))
+    val kept = Sketch.withOccurrence(norm.join(chosen, Seq("k")))
+      .withColumn("rank", row_number().over(byHash))
+      .filter(col("rank") <= greatest(lit(1L), floor(lit(n.toLong) * col("Nk") / col("N"))))
 
-    Sketcher.pre(withJ, col("huKey"))
+    Sketcher.pre(kept, col("huKey"))
   }
 
   def sketchRight(df: DataFrame, key: String, value: String, agg: AggFn,

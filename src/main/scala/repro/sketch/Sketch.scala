@@ -44,33 +44,33 @@ object Sketch {
   }
 
   /** Normalize an input table's (key, value) pair to columns
-    * `[k: string, vNum: double?, vStr: string?, rid: long]` (k from
-    * [[keyString]]), dropping rows with NULL key or value (left-join misses
-    * are discarded per Section III).
-    * `rid` is a per-partition-stable row id used to define occurrence order.
-    * A NaN or ±Inf value fails the query that reads it, rather than
-    * corrupting k-NN distances.
+    * `[k: string, vNum: double?, vStr: string?]` (k from [[keyString]]),
+    * dropping rows with NULL key or value (left-join misses are discarded per
+    * Section III). A NaN or ±Inf value fails the query that reads it, rather
+    * than corrupting k-NN distances; -0.0 becomes 0.0 (IEEE -0.0 + 0.0 = 0.0),
+    * so that values equal in SQL are equal rows.
     */
   def normalize(df: DataFrame, key: String, value: String): DataFrame = {
     val numeric = df.schema(value).dataType.isInstanceOf[NumericType]
     val v       = df(value).cast("double")
     val vNum    =
       if (numeric) when(isnan(v) || abs(v) === Double.PositiveInfinity,
-          raise_error(lit(s"column $value holds NaN or an infinite value"))).otherwise(v)
+          raise_error(lit(s"column $value holds NaN or an infinite value"))).otherwise(v + 0.0)
       else lit(null).cast("double")
     val vStr    = if (numeric) lit(null).cast("string") else df(value).cast("string")
     df.filter(df(key).isNotNull && df(value).isNotNull)
-      .select(
-        keyString(df, key) as "k",
-        vNum as "vNum",
-        vStr as "vStr",
-        monotonically_increasing_id() as "rid",
-      )
+      .select(keyString(df, key) as "k", vNum as "vNum", vStr as "vStr")
   }
 
-  /** Occurrence index j of each key (1-based): the ⟨k, j⟩ sampling frame. */
+  /** An order of a key's normalized rows by their content alone, not by how
+    * the table is partitioned: `(xxhash64(k, vNum, vStr), vNum, vStr)`. Only
+    * equal rows tie. Led by the hash, its first row is a pseudo-random value.
+    */
+  val contentOrder: Seq[Column] = Seq(xxhash64(col("k"), col("vNum"), col("vStr")), col("vNum"), col("vStr"))
+
+  /** Occurrence index j of each key (1-based) in [[contentOrder]]: the ⟨k, j⟩ sampling frame. */
   def withOccurrence(norm: DataFrame): DataFrame =
-    norm.withColumn("j", row_number().over(Window.partitionBy("k").orderBy("rid")))
+    norm.withColumn("j", row_number().over(Window.partitionBy("k").orderBy(contentOrder: _*)))
 
   /** Keep the n rows with minimum (hu, hkey) from a pre-sketch DataFrame
     * `[hkey, hu, vNum, vStr]`. Both implementations are deterministic and
@@ -105,7 +105,7 @@ object Sketch {
   final case class Sample(x: ColData, y: ColData) { def size: Int = x.size }
 
   /** The sketch-join columns a [[Sample]] is read from, in [[toSample]]'s order. */
-  val SampleColumns: Seq[String] = Seq("xNum", "xStr", "yNum", "yStr")
+  val SampleColumns: Seq[String] = Seq("xNum", "xStr", "yNum", "yStr", "hkey")
 
   /** Collect the joined sketch into typed columns. */
   def collectSample(joined: DataFrame): Sample =
@@ -113,13 +113,17 @@ object Sketch {
 
   /** Typed columns from sketch-join rows that start with [[SampleColumns]].
     * A column is numeric iff all its string slots are null (normalization
-    * guarantees homogeneity).
+    * guarantees homogeneity). Rows are sorted by (hkey, y), in which only equal
+    * rows tie (a right sketch holds one row per hkey): arrival order is lost.
     */
   def toSample(rows: Array[Row]): Sample = {
+    import Ordering.Double.TotalOrdering
+    val sorted = rows.sortBy(r =>
+      (r.getLong(4), if (r.isNullAt(2)) 0.0 else r.getDouble(2), Option(r.getString(3))))
     def colOf(numIdx: Int, strIdx: Int): ColData = {
-      val numeric = rows.forall(_.isNullAt(strIdx))
-      if (numeric) NumCol(rows.map(_.getDouble(numIdx)))
-      else StrCol(rows.map(_.getString(strIdx)))
+      val numeric = sorted.forall(_.isNullAt(strIdx))
+      if (numeric) NumCol(sorted.map(_.getDouble(numIdx)))
+      else StrCol(sorted.map(_.getString(strIdx)))
     }
     Sample(x = colOf(0, 1), y = colOf(2, 3))
   }

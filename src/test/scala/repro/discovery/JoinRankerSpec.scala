@@ -229,7 +229,7 @@ class JoinRankerSpec extends SparkSpec {
     }
     // Numeric and string MODE share one aggregate, and two FIRST candidates
     // over overlapping keys share another that is not the union's first
-    // branch: each FIRST must still pick its own table's first row.
+    // branch: each FIRST must still pick from its own table's rows.
     val fixed = Seq(
       genCand(numeric = true, AggFn.Avg, 0L, 1800, 1),
       genCand(numeric = true, AggFn.Mode, 0L, 1800, 2),

@@ -126,11 +126,16 @@ class FeaturizeSpec extends SparkSpec {
       Seq("ky" -> StringType, "y" -> StringType, "xn" -> DoubleType, "xstr" -> StringType))
   }
 
-  test("FIRST keeps the first value seen per key (string values)") {
-    val c = Seq(("a", "u"), ("a", "v"), ("b", "w")).toDF("k", "z")
-    val agg = Featurize.aggregateNorm(Sketch.normalize(c, "k", "z"), AggFn.First)
-      .select("k", "vStr").collect().map(r => r.getString(0) -> r.getString(1)).toMap
-    assert(agg == Map("a" -> "u", "b" -> "w"))
+  test("FIRST keeps each key's least row in content order (string values)") {
+    val rows = Seq(("a", "u"), ("a", "v"), ("a", "x"), ("b", "w"))
+    val hash = rows.toDF("k", "z").select(col("k"), col("z"), xxhash64(col("k"), lit(null).cast("double"), col("z")))
+      .collect().map(r => (r.getString(0), r.getString(1)) -> r.getLong(2)).toMap
+    val expected = rows.groupBy(_._1).map { case (k, vs) => k -> vs.minBy(hash)._2 }
+    for (order <- Seq(rows, rows.reverse)) {
+      val agg = Featurize.aggregateNorm(Sketch.normalize(order.toDF("k", "z"), "k", "z"), AggFn.First)
+        .select("k", "vStr").collect().map(r => r.getString(0) -> r.getString(1)).toMap
+      assert(agg == expected)
+    }
   }
 
   test("MODE on string values with a clear majority") {

@@ -48,10 +48,14 @@ class IndSkCskSpec extends SparkSpec {
     assert(sk.select("hkey").distinct().count() == 2)
   }
 
-  test("CSK keeps the first value seen for a repeated key") {
-    val df = Seq(("a", 7.0), ("a", 9.0), ("a", 11.0)).toDF("k", "v")
-    val sk = Csk.sketchLeft(df, "k", "v", SketchConf(10))
-    assert(sk.select("vNum").first().getDouble(0) == 7.0)
+  test("CSK keeps a repeated key's least row in content order, in any row order") {
+    val values = Seq(7.0, 9.0, 11.0)
+    val least  = values.minBy(v => Seq(v).toDF("v")
+      .select(xxhash64(lit("a"), col("v"), lit(null).cast("string"))).first().getLong(0))
+    for (order <- values.permutations) {
+      val sk = Csk.sketchLeft(order.map(("a", _)).toDF("k", "v"), "k", "v", SketchConf(10))
+      assert(sk.select("vNum").collect().map(_.getDouble(0)).toSeq == Seq(least))
+    }
   }
 
   test("CSK ignores the AGG function on the right side") {

@@ -1,6 +1,6 @@
 package repro.sketch
 
-import org.apache.spark.sql.catalyst.plans.logical.Window
+import org.apache.spark.sql.catalyst.plans.logical.{Join, Window}
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.core.Hashing
@@ -131,13 +131,29 @@ class Lv2SkSpec extends SparkSpec {
     assert(c >= 200 && c <= 400, s"size=$c")
   }
 
+  test("the second level samples a key's rows, not its distinct values") {
+    // One key, 50 rows of 1.0 and 50 of 2.0, n_k = 10. Equal rows share a
+    // content hash, so its first 10 rows in content order hold one value.
+    val df = (Seq.fill(50)(1.0) ++ Seq.fill(50)(2.0)).map(("f", _)).toDF("k", "v")
+    for (sk <- Seq(Lv2Sk, PriSk)) {
+      val kept = sk.sketchLeft(df, "k", "v", SketchConf(10)).select("vNum").collect().map(_.getDouble(0))
+      assert(kept.length == 10 && kept.toSet == Set(1.0, 2.0), s"${sk.name} kept ${kept.mkString(", ")}")
+    }
+  }
+
   test("neither two-level scheme gathers the whole table into one window") {
     // A window with no PARTITION BY moves every row it reads into one task.
+    // The two windows (occurrence j, second-level rank) read only the rows
+    // the join with the chosen keys lets through.
     val df = repro.SynthData.zipfKeys(spark, rows = 1000, nKeys = 200, seed = 11)
     for (sk <- Seq(Lv2Sk, PriSk)) {
       val plan = sk.sketchLeft(df, "k", "v", SketchConf(64)).queryExecution.optimizedPlan
-      val unpartitioned = plan.collect { case w: Window if w.partitionSpec.isEmpty => w }
+      val windows = plan.collect { case w: Window => w }
+      assert(windows.size == 2, s"${sk.name}: ${windows.mkString("; ")}")
+      val unpartitioned = windows.filter(_.partitionSpec.isEmpty)
       assert(unpartitioned.isEmpty, s"${sk.name}: ${unpartitioned.mkString("; ")}")
+      val beforeJoin = windows.filterNot(_.exists(_.isInstanceOf[Join]))
+      assert(beforeJoin.isEmpty, s"${sk.name}: a window reads the whole table: ${beforeJoin.mkString("; ")}")
     }
   }
 }

@@ -58,6 +58,36 @@ class SketchJoinSpec extends SparkSpec {
     assert(s.size == 2)
   }
 
+  test("collectSample gives the same samples and estimates at 3 and 13 partitions") {
+    val rng      = new Rng(12)
+    val (xi, yd) = CDUnif.sample(rng, 40, 6000)
+    val pair     = Decompose(spark, xi.map(_.toDouble), yd, Decompose.KeyDep)
+    val candStr  = pair.cand.select(col("k"), concat(lit("c"), col("x").cast("string")) as "x")
+    val conf     = SketchConf(1024)
+    // Each read plans the sketch-join afresh, at the session's partitions. The
+    // index is partitioned by candidate, so the join's rows arrive in an order
+    // that follows the shuffle partitions (two single-partition sketches would not).
+    def samples(partitions: Int): Seq[(Seq[AnyRef], Double)] = {
+      spark.conf.set("spark.sql.shuffle.partitions", partitions.toLong)
+      val left = TupSk.sketchLeft(pair.train, "k", "y", conf)
+      Seq(EstimatorKind.MixedKSG -> pair.cand, EstimatorKind.DCKSG -> candStr).map { case (kind, cand) =>
+        val index = TupSk.index(Seq(AggFn.Mode, AggFn.Count).map(Featurize.Feature(cand, "k", "x", _)), conf)
+        val s     = Sketch.collectSample(Sketch.join(left, index).filter(col("cand") === 0))
+        assert(MI.auto(s.x, s.y) == kind && s.size > 500, s"$kind on ${s.size} rows")
+        (s.x.anyValues ++ s.y.anyValues, MI.estimate(kind, s.x, s.y))
+      }
+    }
+    val saved = Seq("spark.sql.shuffle.partitions", "spark.sql.adaptive.enabled").map(k => k -> spark.conf.get(k))
+    val (at3, at13) =
+      try {
+        spark.conf.set("spark.sql.adaptive.enabled", false)
+        (samples(3), samples(13))
+      } finally saved.foreach { case (k, v) => spark.conf.set(k, v) }
+    assert(at3.map(_._1) == at13.map(_._1), "the samples differ")
+    assert(at3.zip(at13).forall { case (a, b) => java.lang.Double.compare(a._2, b._2) == 0 },
+      s"${at3.map(_._2)} vs ${at13.map(_._2)}")
+  }
+
   test("TUPSK estimates converge toward the full-join estimate as n grows (Q1)") {
     val rng      = new Rng(4)
     val (xi, yd) = CDUnif.sample(rng, 20, 6000)
