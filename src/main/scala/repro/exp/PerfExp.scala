@@ -21,7 +21,7 @@ object PerfExp {
   /** One size's cached pair and TUPSK sketches. */
   private final case class Prepared(pair: Decompose.Pair, left: DataFrame, right: DataFrame) {
     def fullJoin: DataFrame   = pair.train.join(pair.cand, "k")
-    def sketchJoin: DataFrame = Sketch.join(left, right)
+    def sketchJoin: Sketch.Sample = Sketch.collectJoin(left, right)
     def cached: Seq[DataFrame] = Seq(pair.train, pair.cand, left, right)
   }
 
@@ -61,11 +61,11 @@ object PerfExp {
     val (fullJoinMs, sketchJoinMs, samples) =
       try {
         val fullJoinMs   = timeEachMs(prepared.map(p => () => p.fullJoin.count()))
-        val sketchJoinMs = timeEachMs(prepared.map(p => () => p.sketchJoin.count()))
+        val sketchJoinMs = timeEachMs(prepared.map(p => () => p.sketchJoin))
         val samples = prepared.map { p =>
           val rows = p.fullJoin.select("x", "y").collect()
           (Sketch.Sample(NumCol(rows.map(_.getDouble(0))), NumCol(rows.map(_.getDouble(1)))),
-           Sketch.collectSample(p.sketchJoin))
+           p.sketchJoin)
         }
         (fullJoinMs, sketchJoinMs, samples)
       } finally prepared.flatMap(_.cached).foreach(_.unpersist())

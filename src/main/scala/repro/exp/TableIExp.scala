@@ -78,7 +78,7 @@ object TableIExp {
         for (sk <- Sketcher.all) {
           val left   = sk.sketchLeft(pair.train, "k", "y", conf)
           val right  = sk.sketchRight(pair.cand, "k", "x", AggFn.First, conf)
-          val sample = Sketch.collectSample(Sketch.join(left, right))
+          val sample = Sketch.collectJoin(left, right)
           val sx     = sample.x.asInstanceOf[NumCol].values
           val sy     = sample.y.asInstanceOf[NumCol].values
           for (est <- estimators) {

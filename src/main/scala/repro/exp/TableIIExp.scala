@@ -46,7 +46,7 @@ object TableIIExp {
         for (sk <- sketchers) {
           val left   = sk.sketchLeft(pair.train, "k", "y", conf)
           val right  = sk.sketchRight(pair.cand, "k", "x", agg, conf)
-          val sample = Sketch.collectSample(Sketch.join(left, right))
+          val sample = Sketch.collectJoin(left, right)
           val est    = MI.estimate(kind, sample.x, sample.y)
           out += Rec(collection, spec.id, sk.name, kind.name, fullSize, fullMI, sample.size, est)
         }

@@ -43,19 +43,22 @@ object Featurize {
   def aggregate(df: DataFrame, key: String, value: String, agg: AggFn): DataFrame =
     aggregateNorm(normalize(Feature(df, key, value, agg)), agg)
 
-  /** Every feature aggregated to one row per (cand, key):
-    * `[cand, k, vNum, vStr]`, where `cand` is the feature's index in
+  /** Every feature aggregated to one row per (cand, key) that `select`
+    * keeps: `[cand, k, vNum, vStr]`, where `cand` is the feature's index in
     * `features` and each (cand, k) row is what [[aggregate]] gives for that
-    * feature. The features that share an AGG are unioned and aggregated in
-    * one `GROUP BY (cand, k)`, so the plan holds one aggregate per distinct
-    * AGG, not one per feature. A shared aggregate mixing AGGs would not do:
-    * MODE's sort-based fallback would then read every feature's rows.
+    * feature. The features that share an AGG are normalized, tagged with
+    * `cand` and unioned; `select` picks rows of that union
+    * `[k, vNum, vStr, cand]`, and must keep or drop a (cand, k)'s rows
+    * together; one `GROUP BY (cand, k)` then aggregates only those rows. So
+    * the plan holds one aggregate per distinct AGG, not one per feature. A
+    * shared aggregate mixing AGGs would not do: MODE's sort-based fallback
+    * would then read every feature's rows.
     */
-  def aggregateAll(features: Seq[Feature]): DataFrame = {
+  def aggregateAll(features: Seq[Feature], select: DataFrame => DataFrame): DataFrame = {
     val tagged = features.zipWithIndex
     features.map(_.agg).distinct.map { agg =>
       val group = tagged.collect { case (f, i) if f.agg == agg => normalize(f).withColumn("cand", lit(i)) }
-      aggregateBy(group.reduce(_ unionByName _), agg, "cand", "k")
+      aggregateBy(select(group.reduce(_ unionByName _)), agg, "cand", "k")
     }.reduce(_ unionByName _)
   }
 

@@ -90,11 +90,12 @@ object Sketch {
         .toDF()
   }
 
-  /** Merge two sketches into a sample of the join (Section IV, "Approach
-    * Overview"): inner-join on the hashed key. The left (train) sketch holds
-    * the target Y, the right (candidate) sketch the feature X. Every right
-    * column but `hu` is carried through, so a [[TupSk.index]] row keeps its
-    * `cand`.
+  /** The sketch-join as a Spark query: inner-join on the hashed key, the
+    * left (train) sketch holding the target Y, the right (candidate) sketch
+    * the feature X. Every right column but `hu` is carried through. The
+    * program joins on the driver ([[collectJoin]]); this and [[collectSample]]
+    * stay in `src/main` because the benchmark's staged paths name them, and
+    * they are the oracle the tests hold the driver-side join to.
     */
   def join(left: DataFrame, right: DataFrame): DataFrame =
     left
@@ -107,9 +108,42 @@ object Sketch {
   /** The sketch-join columns a [[Sample]] is read from, in [[toSample]]'s order. */
   val SampleColumns: Seq[String] = Seq("xNum", "xStr", "yNum", "yStr", "hkey")
 
-  /** Collect the joined sketch into typed columns. */
+  /** Collect a [[join]] into typed columns: with it, the test oracle of [[collectJoin]]. */
   def collectSample(joined: DataFrame): Sample =
     toSample(joined.select(SampleColumns.map(col): _*).collect())
+
+  /** A left sketch and right sketches tagged by an INT column `cand` ≥ 0,
+    * from one collect of their union: the left sketch's rows and each
+    * `cand`'s rows, all `[hkey, vNum, vStr, cand]`. It carries the sketches'
+    * rows, at most (C + 1)·n for C right sketches, and not their join.
+    */
+  def collectSketches(left: DataFrame, rights: DataFrame): (Array[Row], Map[Int, Array[Row]]) = {
+    val cols   = Seq(col("hkey"), col("vNum"), col("vStr"), col("cand"))
+    val byCand = left.withColumn("cand", lit(-1)).select(cols: _*)
+      .unionByName(rights.select(cols: _*)).collect().groupBy(_.getInt(3))
+    (byCand.getOrElse(-1, Array.empty[Row]), byCand - -1)
+  }
+
+  /** Merge two collected sketches, rows `[hkey, vNum, vStr, …]`, into a
+    * sample of the join (Section IV, "Approach Overview"): a hash-join on
+    * hkey on the driver, the left (train) sketch holding the target Y and the
+    * right (candidate) sketch the feature X. A key repeated on either side
+    * pairs every row with every row. [[toSample]] orders the rows, so the
+    * sample is [[collectSample]] of [[join]] bit for bit.
+    */
+  def joinSample(left: Array[Row], right: Array[Row]): Sample = {
+    val byKey = right.groupBy(_.getLong(0))
+    toSample(for {
+      l <- left
+      r <- byKey.getOrElse(l.getLong(0), Array.empty[Row])
+    } yield Row(r.get(1), r.get(2), l.get(1), l.get(2), l.getLong(0)))
+  }
+
+  /** The sketch-join sample of two sketches: one collect, joined on the driver. */
+  def collectJoin(left: DataFrame, right: DataFrame): Sample = {
+    val (l, rights) = collectSketches(left, right.withColumn("cand", lit(0)))
+    joinSample(l, rights.getOrElse(0, Array.empty[Row]))
+  }
 
   /** Typed columns from sketch-join rows that start with [[SampleColumns]].
     * A column is numeric iff all its string slots are null (normalization

@@ -31,19 +31,26 @@ object TupSk extends Sketcher {
     Sketcher.right(df, key, value, agg, rightHu, conf)
 
   /** Every candidate's right sketch in one lazy plan: the rows
-    * `sketchRight` gives for `features(i)`, with `cand = i`. The candidates
-    * are aggregated by [[Featurize.aggregateAll]], one `GROUP BY (cand, k)`
-    * per distinct AGG, and each keeps its n minimum (hu, hkey) by a window
-    * over `cand`, so one sketch-join against the index serves every
-    * candidate.
+    * `sketchRight` gives for `features(i)`, with `cand = i`. h_u(⟨k,1⟩) and
+    * hkey depend on k alone, so a candidate's n least keys are picked from
+    * its normalized rows, before they are aggregated:
+    * `dense_rank() OVER (PARTITION BY cand ORDER BY hu, hkey) <= n` keeps
+    * every row of those keys (a `row_number` would keep n rows, not n keys).
+    * [[Featurize.aggregateAll]] then aggregates only those rows, one
+    * `GROUP BY (cand, k)` per distinct AGG, which reads the window's `cand`
+    * partitioning and needs no shuffle of its own. `dense_rank` numbers
+    * distinct (hu, hkey): two keys colliding on both hashes would both be
+    * kept, where a `row_number` over the aggregated keys kept an arbitrary
+    * one at the n-th place.
     */
   def index(features: Seq[Featurize.Feature], conf: SketchConf): DataFrame = {
     require(features.nonEmpty, "an index needs at least one candidate")
     val byHash = Window.partitionBy("cand").orderBy(col("hu"), col("hkey"))
-    Sketcher.pre(Featurize.aggregateAll(features), rightHu, col("cand"))
-      .withColumn("rank", row_number().over(byHash))
-      .filter(col("rank") <= conf.n)
-      .drop("rank")
+    def leastKeys(rows: DataFrame): DataFrame =
+      rows.withColumn("hkey", Hashing.hkey(col("k"))).withColumn("hu", rightHu)
+        .withColumn("rank", dense_rank().over(byHash))
+        .filter(col("rank") <= conf.n)
+    Sketcher.pre(Featurize.aggregateAll(features, leastKeys), rightHu, col("cand"))
   }
 
   /** The right side's hash: h_u(⟨k,1⟩), one tuple per aggregated key. */

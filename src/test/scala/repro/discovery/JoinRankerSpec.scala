@@ -109,11 +109,12 @@ class JoinRankerSpec extends SparkSpec {
     assert(jobs.isEmpty, s"ranking nothing ran jobs $jobs")
   }
 
-  // A distinct AGG adds one job, a candidate none: the candidates that share
-  // an AGG are aggregated in one `GROUP BY (cand, k)`, a shuffle stage, and
-  // adaptive query execution submits every shuffle stage as a job. The rest
-  // of the query's jobs depend on neither.
-  test("rank's Spark jobs grow by one per distinct AGG, not per candidate") {
+  // Adaptive query execution submits every shuffle stage as a Spark job. The
+  // query has one per distinct AGG (the exchange of its `dense_rank` window,
+  // which that AGG's aggregate reads without another), one for the train
+  // sketch's occurrence window, and the collect itself. The driver joins the
+  // collected sketches, so no join adds a job.
+  test("rank runs 2 + A Spark jobs, A the number of distinct AGGs") {
     val (train, cand) = fixtures(7)
     val strCand = (0 until 3000).map(i => (i.toLong, s"c${i % 7}")).toDF("k", "x")
     val mixed = Seq(
@@ -127,10 +128,14 @@ class JoinRankerSpec extends SparkSpec {
     val avgs = (0 until 6).map(i => Candidate(s"avg$i", cand(0.15 * i, 75 + i), "k", "x", AggFn.Avg))
     def jobs(c: Seq[Candidate]): Int =
       jobsOf(s"rank-${c.map(_.name).mkString}")(JoinRanker.rank(train, "k", "y", c, Sketch.SketchConf(256))).size
-    val (avgTwo, avgSix) = (jobs(avgs.take(2)), jobs(avgs))
-    assert(avgTwo == avgSix, s"2 AVG candidates ran $avgTwo jobs, 6 ran $avgSix")
-    val (two, six) = (jobs(mixed.take(2)), jobs(mixed))
-    assert(six - two == 4, s"2 distinct AGGs ran $two jobs, 6 ran $six")
+    val counts = Seq(
+      "one AVG"              -> jobs(avgs.take(1)),
+      "six AVG"              -> jobs(avgs),
+      "AVG + MODE"           -> jobs(mixed.take(2)),
+      "AVG, MODE, AVG, MODE" -> jobs(Seq(avgs(0), mixed(1), avgs(1), mixed(1).copy(name = "b2"))),
+      "six AGGs"             -> jobs(mixed),
+    )
+    assert(counts.map(_._2) == Seq(3, 3, 4, 4, 8), counts.mkString(", "))
   }
 
   test("two rank calls on the same tables give the same estimates, in whatever order rows arrive") {
@@ -212,17 +217,21 @@ class JoinRankerSpec extends SparkSpec {
       }
       val index = TupSk.index(cands.map(c => Featurize.Feature(c.df, c.key, c.value, c.agg)), conf)
         .select("cand", "hkey", "hu", "vNum", "vStr").collect()
-      val samples = JoinRanker.samples(t, "k", "y", cands, conf)
+      val samples  = JoinRanker.samples(t, "k", "y", cands, conf)
+      val left     = TupSk.sketchLeft(t, "k", "y", conf)
+      val leftSize = left.count()
       cands.indices.forall { i =>
         val c     = cands(i)
         val right = TupSk.sketchRight(c.df, c.key, c.value, c.agg, conf)
         val own   = right.select("hkey", "hu", "vNum", "vStr").collect().map(_.toSeq).toSeq
-        val pair  = Sketch.collectSample(Sketch.join(TupSk.sketchLeft(t, "k", "y", conf), right))
+        val pair  = Sketch.collectSample(Sketch.join(left, right))
+        val (sample, sampleLeftSize, sampleRightSize) = samples(i)
         val ok =
           own.size == math.min(n, gens(i).nKeys) &&
           multiset(index.filter(_.getInt(0) == i).map(_.toSeq.tail).toSeq) == multiset(own) &&
-          pairs(samples(i)) == pairs(pair) &&
-          samples(i).x.isNumeric == pair.x.isNumeric && samples(i).y.isNumeric == pair.y.isNumeric
+          pairs(sample) == pairs(pair) &&
+          sample.x.isNumeric == pair.x.isNumeric && sample.y.isNumeric == pair.y.isNumeric &&
+          sampleLeftSize == leftSize && sampleRightSize == own.size
         if (!ok) println(s"index oracle failed: n=$n numericY=$numericY, ${c.agg.name} candidate $i of ${cands.size}")
         ok
       }

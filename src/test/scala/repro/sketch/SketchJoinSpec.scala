@@ -2,10 +2,11 @@ package repro.sketch
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import org.scalacheck.{Gen, Prop, Test => SCTest}
 import repro.{Oracle, SparkSpec}
 import repro.discovery.JoinRanker
 import repro.discovery.JoinRanker.Candidate
-import repro.mi.{EstimatorKind, MI}
+import repro.mi.{ColData, EstimatorKind, MI, NumCol, StrCol}
 import repro.sketch.Sketch.SketchConf
 import repro.stats.Rng
 import repro.synth.{CDUnif, Decompose}
@@ -56,6 +57,48 @@ class SketchJoinSpec extends SparkSpec {
       TupSk.sketchRight(right, "k", "x", AggFn.Avg, conf)))
     assert(s.x.isNumeric && !s.y.isNumeric)
     assert(s.size == 2)
+  }
+
+  private def bits(c: ColData): Seq[Any] = c match {
+    case NumCol(v) => v.toSeq.map(java.lang.Double.doubleToRawLongBits)
+    case StrCol(v) => v.toSeq
+  }
+
+  private def sameBits(a: Sketch.Sample, b: Sketch.Sample): Boolean =
+    a.x.isNumeric == b.x.isNumeric && a.y.isNumeric == b.y.isNumeric && bits(a.x) == bits(b.x) && bits(a.y) == bits(b.y)
+
+  test("the driver-side sketch-join equals collectSample of the Spark sketch-join, bit for bit (scalacheck)") {
+    // Train rows repeat their keys, so TUPSK's and LV2SK/PRISK's left
+    // sketches repeat an hkey; the candidate's keys overlap the train's or not.
+    def holds(trainRows: Seq[(Long, Int)], candRows: Seq[(Long, Int)], numericY: Boolean,
+              numericX: Boolean, n: Int): Boolean = {
+      val train =
+        if (numericY) trainRows.map { case (k, v) => (k, v / 10.0) }.toDF("k", "y")
+        else trainRows.map { case (k, v) => (k, s"y$v") }.toDF("k", "y")
+      val cand =
+        if (numericX) candRows.map { case (k, v) => (k, v / 4.0) }.toDF("k", "x")
+        else candRows.map { case (k, v) => (k, s"x$v") }.toDF("k", "x")
+      val conf = SketchConf(n)
+      Sketcher.all.forall { sk =>
+        val left  = sk.sketchLeft(train, "k", "y", conf)
+        val right = sk.sketchRight(cand, "k", "x", if (numericX) AggFn.Avg else AggFn.Mode, conf)
+        val ok    = sameBits(Sketch.collectJoin(left, right), Sketch.collectSample(Sketch.join(left, right)))
+        if (!ok) println(s"driver join differs: ${sk.name}, n=$n, numericY=$numericY, numericX=$numericX")
+        ok
+      }
+    }
+    val rows = (0 until 400).map(i => ((i * 7 % 40).toLong, i % 23))
+    for (numericY <- Seq(true, false); numericX <- Seq(true, false)) {
+      assert(holds(rows, rows, numericY, numericX, 32))
+      assert(holds(Nil, rows, numericY, numericX, 32), "empty left")
+      assert(holds(rows, Nil, numericY, numericX, 32), "empty right")
+      assert(holds(rows, rows.map { case (k, v) => (k + 1000, v) }, numericY, numericX, 32), "disjoint keys")
+    }
+    val genRows = (keys: Int) => Gen.listOf(Gen.zip(Gen.choose(0L, keys.toLong), Gen.choose(0, 20)))
+    val prop = Prop.forAll(Gen.choose(1, 60).flatMap(genRows), Gen.choose(1, 80).flatMap(genRows),
+      Gen.oneOf(true, false), Gen.oneOf(true, false), Gen.oneOf(1, 7, 64, 512))(holds)
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(8), prop)
+    assert(res.passed, res.status.toString)
   }
 
   test("collectSample gives the same samples and estimates at 3 and 13 partitions") {

@@ -102,4 +102,49 @@ class TupSkSpec extends SparkSpec {
     val s = TupSk.sketchLeft(str, "k", "v", SketchConf(5)).first()
     assert(s.isNullAt(2) && s.getString(3) == "s")
   }
+
+  test("the index keeps each candidate's n least keys, each aggregated over all its rows") {
+    // 20 keys with values 1..5 each, n = 3: every kept key has COUNT 5, AVG
+    // 3, MIN 1 and MAX 5. Keeping 3 rows instead of 3 keys would not.
+    val df   = (for (k <- 0 until 20; v <- 1 to 5) yield (k.toLong, v.toDouble)).toDF("k", "v")
+    val conf = SketchConf(3)
+    val least = df.select("k").distinct()
+      .select(repro.core.Hashing.hkey(col("k")) as "hkey",
+        repro.core.Hashing.huTuple(repro.core.Hashing.SaltTuple, col("k"), lit(1)) as "hu")
+      .orderBy("hu", "hkey").limit(3).collect().map(_.getLong(0)).toSet
+    val expected = Map[AggFn, Double](AggFn.Count -> 5.0, AggFn.Avg -> 3.0, AggFn.Min -> 1.0, AggFn.Max -> 5.0)
+    // One candidate (its `cand` a literal), and candidates sharing an aggregate.
+    for (aggs <- Seq(Seq(AggFn.Count), Seq(AggFn.Count, AggFn.Avg, AggFn.Min, AggFn.Count, AggFn.Max))) {
+      val rows = TupSk.index(aggs.map(Featurize.Feature(df, "k", "v", _)), conf)
+        .select("cand", "hkey", "vNum").collect()
+      for ((agg, i) <- aggs.zipWithIndex) {
+        val own = rows.filter(_.getInt(0) == i)
+        assert(own.map(_.getLong(1)).toSet == least && own.length == 3, s"${agg.name} candidate $i: ${own.toSeq}")
+        assert(own.forall(_.getDouble(2) == expected(agg)), s"${agg.name} candidate $i: ${own.toSeq}")
+      }
+    }
+  }
+
+  test("every aggregate of the index reads a filter over the dense_rank window") {
+    import org.apache.spark.sql.catalyst.expressions.DenseRank
+    import org.apache.spark.sql.catalyst.plans.logical.{Aggregate, Filter, LogicalPlan, Project, Window}
+    def below(p: LogicalPlan): LogicalPlan = p match {
+      case Project(_, child) => below(child)
+      case other             => other
+    }
+    val df = Seq(("a", 1.0), ("a", 2.0), ("b", 3.0), ("c", 4.0)).toDF("k", "v")
+    for (aggs <- Seq(Seq(AggFn.Mode), Seq(AggFn.Avg, AggFn.Mode, AggFn.Avg, AggFn.First))) {
+      val plan  = TupSk.index(aggs.map(Featurize.Feature(df, "k", "v", _)), SketchConf(2)).queryExecution.optimizedPlan
+      val reads = plan.collect { case a: Aggregate => below(a.child) }
+      assert(reads.size == aggs.distinct.size, plan.toString)
+      for (read <- reads) read match {
+        case Filter(_, child) => below(child) match {
+          case w: Window =>
+            assert(w.windowExpressions.exists(_.find(_.isInstanceOf[DenseRank]).isDefined), plan.toString)
+          case other => fail(s"the filter reads ${other.nodeName}, not a window:\n$plan")
+        }
+        case other => fail(s"an aggregate reads ${other.nodeName}, not a filter:\n$plan")
+      }
+    }
+  }
 }
