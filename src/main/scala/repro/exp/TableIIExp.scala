@@ -1,7 +1,7 @@
 package repro.exp
 
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{Row, SparkSession}
 import repro.mi.{ColData, EstimatorKind, MI, NumCol, StrCol}
 import repro.sketch.{AggFn, Featurize, Lv2Sk, PriSk, Sketch, Sketcher, TupSk}
 import repro.stats.Stats
@@ -57,16 +57,21 @@ object TableIIExp {
 
   /** The reference a sketch estimate is scored against: `kind` applied to
     * every row of the full featurized left join, misses discarded, as
-    * (join size, MI).
+    * (join size, MI). The rows are sorted by (x, y) first, so the estimate
+    * does not depend on the order in which the join's rows arrive.
     */
   private[exp] def fullJoinMI(pair: OpenDataGen.TablePair, agg: AggFn,
                               kind: EstimatorKind): (Int, Double) = {
+    import Ordering.Double.TotalOrdering
     val spec = pair.spec
     val xCol = if (spec.xNumeric) "xn" else "xstr"
+    def sortKey(r: Row, i: Int, numeric: Boolean): (Double, String) =
+      if (numeric) (r.getDouble(i), "") else (0.0, r.getString(i))
     val rows = Featurize.augmentedJoin(pair.train, "k", "y", pair.cand, "k", "x", agg)
       .filter(col(xCol).isNotNull)
       .select(col(xCol), col("y"))
       .collect()
+      .sortBy(r => (sortKey(r, 0, spec.xNumeric), sortKey(r, 1, spec.yNumeric)))
     def column(i: Int, numeric: Boolean): ColData =
       if (numeric) NumCol(rows.map(_.getDouble(i))) else StrCol(rows.map(_.getString(i)))
     (rows.length, MI.estimate(kind, column(0, spec.xNumeric), column(1, spec.yNumeric)))

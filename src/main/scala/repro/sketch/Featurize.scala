@@ -44,21 +44,23 @@ object Featurize {
     aggregateNorm(normalize(Feature(df, key, value, agg)), agg)
 
   /** Every feature aggregated to one row per (cand, key) that `select`
-    * keeps: `[cand, k, vNum, vStr]`, where `cand` is the feature's index in
-    * `features` and each (cand, k) row is what [[aggregate]] gives for that
-    * feature. The features that share an AGG are normalized, tagged with
-    * `cand` and unioned; `select` picks rows of that union
+    * keeps: `[cand, k, …carried, vNum, vStr]`, where `cand` is the feature's
+    * index in `features` and each (cand, k) row is what [[aggregate]] gives
+    * for that feature. The features that share an AGG are normalized, tagged
+    * with `cand` and unioned; `select` picks rows of that union
     * `[k, vNum, vStr, cand]`, and must keep or drop a (cand, k)'s rows
-    * together; one `GROUP BY (cand, k)` then aggregates only those rows. So
+    * together; one `GROUP BY (cand, k, …carried)` then aggregates only those
+    * rows. `carried` names columns `select` adds that depend on k alone, so
+    * grouping by them passes them through without computing them again. So
     * the plan holds one aggregate per distinct AGG, not one per feature. A
     * shared aggregate mixing AGGs would not do: MODE's sort-based fallback
     * would then read every feature's rows.
     */
-  def aggregateAll(features: Seq[Feature], select: DataFrame => DataFrame): DataFrame = {
+  def aggregateAll(features: Seq[Feature], select: DataFrame => DataFrame, carried: String*): DataFrame = {
     val tagged = features.zipWithIndex
     features.map(_.agg).distinct.map { agg =>
       val group = tagged.collect { case (f, i) if f.agg == agg => normalize(f).withColumn("cand", lit(i)) }
-      aggregateBy(select(group.reduce(_ unionByName _)), agg, "cand", "k")
+      aggregateBy(select(group.reduce(_ unionByName _)), agg, "cand" +: "k" +: carried: _*)
     }.reduce(_ unionByName _)
   }
 

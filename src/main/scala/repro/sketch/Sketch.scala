@@ -112,15 +112,16 @@ object Sketch {
   def collectSample(joined: DataFrame): Sample =
     toSample(joined.select(SampleColumns.map(col): _*).collect())
 
-  /** A left sketch and right sketches tagged by an INT column `cand` ≥ 0,
-    * from one collect of their union: the left sketch's rows and each
-    * `cand`'s rows, all `[hkey, vNum, vStr, cand]`. It carries the sketches'
-    * rows, at most (C + 1)·n for C right sketches, and not their join.
+  /** A left sketch and any right sketches tagged by an INT column
+    * `cand` ≥ 0, from one collect of their union: the left sketch's rows and
+    * each `cand`'s rows, all `[hkey, vNum, vStr, cand]`. It carries the
+    * sketches' rows, at most (C + 1)·n for C right sketches, and not their
+    * join.
     */
-  def collectSketches(left: DataFrame, rights: DataFrame): (Array[Row], Map[Int, Array[Row]]) = {
+  def collectSketches(left: DataFrame, rights: Option[DataFrame]): (Array[Row], Map[Int, Array[Row]]) = {
     val cols   = Seq(col("hkey"), col("vNum"), col("vStr"), col("cand"))
-    val byCand = left.withColumn("cand", lit(-1)).select(cols: _*)
-      .unionByName(rights.select(cols: _*)).collect().groupBy(_.getInt(3))
+    val byCand = (left.withColumn("cand", lit(-1)) +: rights.toSeq).map(_.select(cols: _*))
+      .reduce(_ unionByName _).collect().groupBy(_.getInt(3))
     (byCand.getOrElse(-1, Array.empty[Row]), byCand - -1)
   }
 
@@ -141,7 +142,7 @@ object Sketch {
 
   /** The sketch-join sample of two sketches: one collect, joined on the driver. */
   def collectJoin(left: DataFrame, right: DataFrame): Sample = {
-    val (l, rights) = collectSketches(left, right.withColumn("cand", lit(0)))
+    val (l, rights) = collectSketches(left, Some(right.withColumn("cand", lit(0))))
     joinSample(l, rights.getOrElse(0, Array.empty[Row]))
   }
 
@@ -181,14 +182,9 @@ object Sketcher {
   /** All schemes evaluated in the paper's Tables I/II. */
   def all: Seq[Sketcher] = Seq(Csk, IndSk, Lv2Sk, PriSk, TupSk)
 
-  /** Build a pre-sketch `[hkey, hu, vNum, vStr, …extra]` from normalized rows. */
-  private[sketch] def pre(norm: DataFrame, hu: Column, extra: Column*): DataFrame =
-    norm.select(Seq(
-      repro.core.Hashing.hkey(col("k")) as "hkey",
-      hu as "hu",
-      col("vNum"),
-      col("vStr"),
-    ) ++ extra: _*)
+  /** Build a pre-sketch `[hkey, hu, vNum, vStr]` from normalized rows. */
+  private[sketch] def pre(norm: DataFrame, hu: Column): DataFrame =
+    norm.select(repro.core.Hashing.hkey(col("k")) as "hkey", hu as "hu", col("vNum"), col("vStr"))
 
   /** The candidate side of a scheme: `agg` of `df`'s (key, value) pair, one
     * row per key, and the n of them with minimum (`hu`, hkey).

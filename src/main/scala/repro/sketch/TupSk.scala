@@ -38,10 +38,11 @@ object TupSk extends Sketcher {
     * every row of those keys (a `row_number` would keep n rows, not n keys).
     * [[Featurize.aggregateAll]] then aggregates only those rows, one
     * `GROUP BY (cand, k)` per distinct AGG, which reads the window's `cand`
-    * partitioning and needs no shuffle of its own. `dense_rank` numbers
-    * distinct (hu, hkey): two keys colliding on both hashes would both be
-    * kept, where a `row_number` over the aggregated keys kept an arbitrary
-    * one at the n-th place.
+    * partitioning and needs no shuffle of its own. The aggregate groups by
+    * hkey and hu as well, so each branch hashes its rows once. `dense_rank`
+    * numbers distinct (hu, hkey): two keys colliding on both hashes would
+    * both be kept, where a `row_number` over the aggregated keys kept an
+    * arbitrary one at the n-th place.
     */
   def index(features: Seq[Featurize.Feature], conf: SketchConf): DataFrame = {
     require(features.nonEmpty, "an index needs at least one candidate")
@@ -50,7 +51,8 @@ object TupSk extends Sketcher {
       rows.withColumn("hkey", Hashing.hkey(col("k"))).withColumn("hu", rightHu)
         .withColumn("rank", dense_rank().over(byHash))
         .filter(col("rank") <= conf.n)
-    Sketcher.pre(Featurize.aggregateAll(features, leastKeys), rightHu, col("cand"))
+    Featurize.aggregateAll(features, leastKeys, "hkey", "hu")
+      .select("hkey", "hu", "vNum", "vStr", "cand")
   }
 
   /** The right side's hash: h_u(⟨k,1⟩), one tuple per aggregated key. */

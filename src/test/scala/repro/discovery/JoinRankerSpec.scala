@@ -225,7 +225,7 @@ class JoinRankerSpec extends SparkSpec {
         val right = TupSk.sketchRight(c.df, c.key, c.value, c.agg, conf)
         val own   = right.select("hkey", "hu", "vNum", "vStr").collect().map(_.toSeq).toSeq
         val pair  = Sketch.collectSample(Sketch.join(left, right))
-        val (sample, sampleLeftSize, sampleRightSize) = samples(i)
+        val (sample, sampleLeftSize, sampleRightSize, _) = samples(i)
         val ok =
           own.size == math.min(n, gens(i).nKeys) &&
           multiset(index.filter(_.getInt(0) == i).map(_.toSeq.tail).toSeq) == multiset(own) &&
@@ -253,4 +253,171 @@ class JoinRankerSpec extends SparkSpec {
     train.unpersist(); trainStr.unpersist()
     assert(res.passed, res.status.toString)
   }
+
+  /** Two rankings agree bit for bit, in order, apart from where the candidates' sketches came from. */
+  private def assertSame(a: Seq[JoinRanker.Ranked], b: Seq[JoinRanker.Ranked]): Unit = {
+    assert(a.map(_.copy(estimatedMI = 0.0, rightSketch = "")) == b.map(_.copy(estimatedMI = 0.0, rightSketch = "")),
+      s"$a vs $b")
+    for ((x, y) <- a.zip(b))
+      assert(java.lang.Double.compare(x.estimatedMI, y.estimatedMI) == 0, s"$x vs $y")
+  }
+
+  private def sources(ranked: Seq[JoinRanker.Ranked]): Map[String, String] =
+    ranked.map(r => r.name -> r.rightSketch).toMap
+
+  /** Rank, with the number of Spark jobs the call ran. */
+  private def rankJobs(group: String, train: org.apache.spark.sql.DataFrame, cands: Seq[Candidate],
+                       n: Int = 256): (Seq[JoinRanker.Ranked], Int) = {
+    var ranked: Seq[JoinRanker.Ranked] = Nil
+    val jobs = jobsOf(group) { ranked = JoinRanker.rank(train, "k", "y", cands, Sketch.SketchConf(n)) }
+    (ranked, jobs.size)
+  }
+
+  test("a second rank over cached candidates holds their sketches, equals the first bit for bit and runs 2 jobs") {
+    val (train, cand) = fixtures(101)
+    val strCand = (0 until 3000).map(i => (i.toLong, s"c${i % 6}")).toDF("k", "x").cache()
+    val cands = Seq(
+      Candidate("avg", cand(0.9, 1011).cache(), "k", "x", AggFn.Avg),
+      Candidate("mode", strCand, "k", "x", AggFn.Mode),
+      Candidate("max", cand(0.4, 1012).cache(), "k", "x", AggFn.Max),
+    )
+    try {
+      cands.foreach(_.df.count()) // fill the caches, which would add jobs of their own
+      val (cold, coldJobs) = rankJobs("held-cold", train, cands)
+      val (warm, warmJobs) = rankJobs("held-warm", train, cands)
+      assert(coldJobs == 5 && warmJobs == 2, s"cold $coldJobs jobs, warm $warmJobs")
+      assert(cold.forall(_.rightSketch == JoinRanker.Built), cold.mkString(", "))
+      assert(warm.forall(_.rightSketch == JoinRanker.Held), warm.mkString(", "))
+      assertSame(cold, warm)
+    } finally cands.foreach(_.df.unpersist())
+  }
+
+  test("uncached candidates are sketched again on every call, in 2 + A jobs") {
+    val (train, cand) = fixtures(102)
+    val strCand = (0 until 3000).map(i => (i.toLong, s"c${i % 4}")).toDF("k", "x")
+    val cands = Seq(
+      Candidate("avg", cand(0.8, 1021), "k", "x", AggFn.Avg),
+      Candidate("mode", strCand, "k", "x", AggFn.Mode),
+    )
+    val runs = (1 to 3).map(i => rankJobs(s"uncached-$i", train, cands))
+    assert(runs.map(_._2) == Seq(4, 4, 4), runs.map(_._2).mkString(", "))
+    for ((ranked, _) <- runs) {
+      assert(ranked.forall(_.rightSketch == JoinRanker.Built), ranked.mkString(", "))
+      assertSame(runs.head._1, ranked)
+    }
+  }
+
+  test("after an unpersist, or a re-cache of changed rows, the next call builds that candidate's sketch again") {
+    val (train, cand) = fixtures(103)
+    val rng   = new Rng(1031)
+    val noise = Array.fill(3000)(rng.nextDouble())
+    // A table whose rows follow `JoinRankerSpec.Source.dep` when it is (re)computed.
+    val related = cand(1.0, 1032).select("k", "x").collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
+    val bySource = org.apache.spark.sql.functions.udf { (k: Long) =>
+      val d = JoinRankerSpec.Source.dep
+      d * related(k) + (1 - d) * noise(k.toInt)
+    }
+    val live = spark.range(3000).select(col("id") as "k", bySource(col("id")) as "x")
+    def copyOf(dep: Double) = (0 until 3000).map(i => (i.toLong, dep * related(i.toLong) + (1 - dep) * noise(i))).toDF("k", "x")
+    def rankOne(df: org.apache.spark.sql.DataFrame) = JoinRanker.rank(train, "k", "y",
+      Seq(Candidate("c", df, "k", "x", AggFn.Avg)), Sketch.SketchConf(512)).head
+    JoinRankerSpec.Source.dep = 0.9
+    live.cache()
+    try {
+      val first  = rankOne(live)
+      val second = rankOne(live)
+      assert(first.rightSketch == JoinRanker.Built && second.rightSketch == JoinRanker.Held)
+      assertSame(Seq(first), Seq(rankOne(copyOf(0.9))))
+      live.unpersist()
+      val uncached = rankOne(live)
+      assert(uncached.rightSketch == JoinRanker.Built)
+      assertSame(Seq(first), Seq(uncached))
+      JoinRankerSpec.Source.dep = 0.0
+      live.cache()
+      val recached = rankOne(live)
+      assert(recached.rightSketch == JoinRanker.Built, recached.toString)
+      assertSame(Seq(recached), Seq(rankOne(copyOf(0.0))))
+      assert(recached.estimatedMI < first.estimatedMI, s"$recached vs $first")
+      assert(rankOne(live).rightSketch == JoinRanker.Held)
+    } finally live.unpersist()
+  }
+
+  test("one cached table gets a sketch of its own per AGG, value column and n") {
+    val (train, _) = fixtures(104)
+    val rng = new Rng(1041)
+    val wide = (0 until 3000).flatMap { i =>
+      Seq.fill(1 + rng.nextInt(2))((i.toLong, rng.nextDouble() + i / 3000.0, rng.nextDouble()))
+    }
+    val cached = wide.toDF("k", "x", "z").cache()
+    val cands = Seq(
+      Candidate("avgX", cached, "k", "x", AggFn.Avg),
+      Candidate("maxX", cached, "k", "x", AggFn.Max),
+      Candidate("avgZ", cached, "k", "z", AggFn.Avg),
+    )
+    // The same rows, each candidate uncached and so built on every call.
+    val cold = cands.map(c => c.copy(df = c.df.select(col("k"), col(c.value) + 0.0 as c.value)))
+    try {
+      for (n <- Seq(256, 512)) {
+        val (built, _) = rankJobs(s"per-spec-$n-built", train, cands, n)
+        val (held, heldJobs) = rankJobs(s"per-spec-$n-held", train, cands, n)
+        assert(sources(built).values.forall(_ == JoinRanker.Built), s"n=$n: $built")
+        assert(sources(held).values.forall(_ == JoinRanker.Held) && heldJobs == 2, s"n=$n: $heldJobs jobs, $held")
+        val (reference, _) = rankJobs(s"per-spec-$n-cold", train, cold, n)
+        assert(sources(reference).values.forall(_ == JoinRanker.Built), s"n=$n: $reference")
+        assertSame(reference, built)
+        assertSame(reference, held)
+      }
+    } finally cached.unpersist()
+  }
+
+  test("a call with some sketches held indexes only the others, and equals an all-cold call bit for bit") {
+    val (train, cand) = fixtures(105)
+    val strA = (0 until 3000).map(i => (i.toLong, s"a${i % 5}")).toDF("k", "x")
+    val strB = (500 until 2500).map(i => (i.toLong, s"b${(i * 7) % 9}")).toDF("k", "x")
+    val cands = Seq(
+      Candidate("heldA", strA, "k", "x", AggFn.Mode),
+      Candidate("heldB", strB, "k", "x", AggFn.Mode),
+      Candidate("cachedCold", cand(0.7, 1051), "k", "x", AggFn.Avg),
+      Candidate("uncached", cand(0.3, 1052), "k", "x", AggFn.Avg),
+    )
+    val (allCold, coldJobs) = rankJobs("mixed-all-cold", train, cands)
+    assert(coldJobs == 4 && allCold.forall(_.rightSketch == JoinRanker.Built), s"$coldJobs jobs: $allCold")
+    cands.take(3).foreach(_.df.cache().count())
+    try {
+      rankJobs("mixed-warm-up", train, cands.take(2))
+      val (mixed, mixedJobs) = rankJobs("mixed", train, cands)
+      // Only the AVG candidates are indexed: the MODE aggregate does not run.
+      assert(mixedJobs == 3, s"$mixedJobs jobs")
+      assert(sources(mixed) == Map("heldA" -> JoinRanker.Held, "heldB" -> JoinRanker.Held,
+        "cachedCold" -> JoinRanker.Built, "uncached" -> JoinRanker.Built), mixed.mkString(", "))
+      assertSame(allCold, mixed)
+    } finally cands.foreach(_.df.unpersist())
+  }
+
+  test("a NaN estimate says why: NO_OVERLAP for an empty sketch-join, BELOW_MIN_JOIN for 1 to MinJoin - 1 rows") {
+    val (train, cand) = fixtures(106)
+    val few      = (0 until JoinRanker.MinJoin - 1).map(i => (i.toLong, i.toDouble)).toDF("k", "x")
+    val one      = Seq((7L, 1.0)).toDF("k", "x")
+    val disjoint = (100000 until 100500).map(i => (i.toLong, 1.0)).toDF("k", "x")
+    // n above the train table's 3000 rows: its sketch holds every key.
+    val ranked = JoinRanker.rank(train, "k", "y",
+      Seq(
+        Candidate("joinable", cand(0.6, 1061), "k", "x", AggFn.Avg),
+        Candidate("few", few, "k", "x", AggFn.Avg),
+        Candidate("one", one, "k", "x", AggFn.Avg),
+        Candidate("disjoint", disjoint, "k", "x", AggFn.Avg),
+      ),
+      Sketch.SketchConf(4096)).map(r => r.name -> r).toMap
+    assert(ranked("joinable").nanReason.isEmpty && !ranked("joinable").estimatedMI.isNaN)
+    assert(ranked("few").sketchJoinSize == JoinRanker.MinJoin - 1 && ranked("few").estimatedMI.isNaN)
+    assert(ranked("few").nanReason.contains(JoinRanker.BelowMinJoin))
+    assert(ranked("one").sketchJoinSize == 1 && ranked("one").nanReason.contains(JoinRanker.BelowMinJoin))
+    assert(ranked("disjoint").sketchJoinSize == 0 && ranked("disjoint").nanReason.contains(JoinRanker.NoOverlap))
+    assert(ranked.values.forall(r => r.estimatedMI.isNaN == r.nanReason.isDefined), ranked.values.mkString(", "))
+  }
+}
+
+object JoinRankerSpec {
+  /** What a UDF-backed test table reads when its rows are computed. */
+  object Source { @volatile var dep: Double = 0.0 }
 }

@@ -105,12 +105,37 @@ class ExpSpec extends SparkSpec {
     pair.train.cache(); pair.cand.cache()
     try {
       val (size, mi) = TableIIExp.fullJoinMI(pair, AggFn.Avg, EstimatorKind.MixedKSG)
+      import Ordering.Double.TotalOrdering
+      // In fullJoinMI's (x, y) order: MixedKSG's sum of terms rounds by order.
       val rows = Featurize.augmentedJoin(pair.train, "k", "y", pair.cand, "k", "x", AggFn.Avg)
         .filter(col("xn").isNotNull).select("xn", "y").collect()
+        .sortBy(r => (r.getDouble(0), r.getDouble(1)))
       val all = MI.estimate(EstimatorKind.MixedKSG,
         NumCol(rows.map(_.getDouble(0))), NumCol(rows.map(_.getDouble(1))))
       assert(size == 5195 && rows.length == 5195)
       assert(java.lang.Double.compare(mi, all) == 0, s"reference $mi, all rows $all")
+    } finally { pair.train.unpersist(); pair.cand.unpersist() }
+  }
+
+  test("Table II's full-join reference does not depend on the order in which the join's rows arrive") {
+    import repro.mi.EstimatorKind
+    import repro.sketch.AggFn
+    import repro.synth.OpenDataGen
+    val pair = OpenDataGen.generate(spark, OpenDataGen.specs("WBF", 28, 11)(27))
+    pair.train.cache(); pair.cand.cache()
+    // Without adaptive execution, which would coalesce these small shuffles,
+    // the shuffle partition count sets the order in which the join's rows arrive.
+    def reference(partitions: Int): (Int, Double) = {
+      val conf = Map("spark.sql.shuffle.partitions" -> partitions.toString, "spark.sql.adaptive.enabled" -> "false")
+      val prev = conf.keys.map(k => k -> spark.conf.get(k))
+      conf.foreach { case (k, v) => spark.conf.set(k, v) }
+      try TableIIExp.fullJoinMI(pair, AggFn.First, EstimatorKind.MixedKSG)
+      finally prev.foreach { case (k, v) => spark.conf.set(k, v) }
+    }
+    try {
+      val refs = Seq(8, 3, 13).map(reference)
+      assert(refs.map(_._1).distinct.size == 1, refs.mkString(", "))
+      assert(refs.map(r => java.lang.Double.doubleToRawLongBits(r._2)).distinct.size == 1, refs.mkString(", "))
     } finally { pair.train.unpersist(); pair.cand.unpersist() }
   }
 

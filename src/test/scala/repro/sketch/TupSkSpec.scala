@@ -147,4 +147,23 @@ class TupSkSpec extends SparkSpec {
       }
     }
   }
+
+  test("the index hashes each row once: one h_u UDF per candidate's rows, none after an aggregate") {
+    import org.apache.spark.sql.catalyst.expressions.ScalaUDF
+    import org.apache.spark.sql.catalyst.plans.logical.Union
+    // RDD-backed: the optimizer would evaluate the UDF over a local Seq's rows.
+    val df = spark.sparkContext.parallelize(Seq(("a", 1.0), ("a", 2.0), ("b", 3.0), ("c", 4.0))).toDF("k", "v")
+    for (aggs <- Seq(Seq(AggFn.Mode), Seq(AggFn.Avg, AggFn.Mode, AggFn.Avg, AggFn.First),
+                     Seq(AggFn.Count, AggFn.Max, AggFn.Min))) {
+      val plan     = TupSk.index(aggs.map(Featurize.Feature(df, "k", "v", _)), SketchConf(2)).queryExecution.optimizedPlan
+      val branches = plan.collectFirst { case u: Union => u.children }.getOrElse(Seq(plan))
+      assert(branches.size == aggs.distinct.size, plan.toString)
+      // A branch unions the candidates that share its AGG, and Spark pushes
+      // the hashing projection into each of them.
+      for ((branch, agg) <- branches.zip(aggs.distinct)) {
+        val udfs = branch.flatMap(_.expressions).flatMap(_.collect { case u: ScalaUDF => u })
+        assert(udfs.size == aggs.count(_ == agg), s"${udfs.size} h_u UDFs in the ${agg.name} branch:\n$plan")
+      }
+    }
+  }
 }
