@@ -87,9 +87,9 @@ object Featurize {
     */
   private def aggregateBy(norm: DataFrame, agg: AggFn, keys: String*): DataFrame = {
     val noStr  = lit(null).cast("string")
-    val first  = struct(Sketch.contentOrder: _*)
+    val first  = min(struct(Sketch.contentOrder: _*))
     val (vNum, vStr) = agg match {
-      case AggFn.First => (min_by(col("vNum"), first), min_by(col("vStr"), first))
+      case AggFn.First => (first.getField("vNum"), first.getField("vStr"))
       case AggFn.Mode  => (mode(col("vNum"), deterministic = true),
                            mode(col("vStr"), deterministic = true))
       // Sorted: `avg` sums in arrival order, whose last bits move with partitioning.

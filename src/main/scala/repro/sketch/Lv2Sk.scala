@@ -56,10 +56,12 @@ private[sketch] object TwoLevel {
 
     // Level 2: each chosen key's n_k = max(1, floor(n·N_k/N)) occurrences of
     // least h_u(⟨k, j⟩). Not its first n_k in content order: equal rows share
-    // a content hash, so those would be kept or dropped all together.
-    val byHash = Window.partitionBy("k")
+    // a content hash, so those would be kept or dropped all together. The ≤ n
+    // chosen keys are broadcast, so both windows read only their rows, in the
+    // occurrence window's hkey partitions.
+    val byHash = Window.partitionBy("hkey")
       .orderBy(Hashing.huTuple(Hashing.SaltSecondLevel, col("k"), col("j")), col("j"))
-    val kept = Sketch.withOccurrence(norm.join(chosen, Seq("k")))
+    val kept = Sketch.numberOccurrences(Sketch.byHkey(norm).join(broadcast(chosen), Seq("k")))
       .withColumn("rank", row_number().over(byHash))
       .filter(col("rank") <= greatest(lit(1L), floor(lit(n.toLong) * col("Nk") / col("N"))))
 

@@ -4,6 +4,7 @@ import org.apache.spark.sql.{Column, DataFrame, Row}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{DecimalType, DoubleType, FloatType, NumericType}
+import repro.core.Hashing
 import repro.mi.{ColData, NumCol, StrCol}
 
 /** A sketch is a DataFrame with schema
@@ -68,9 +69,29 @@ object Sketch {
     */
   val contentOrder: Seq[Column] = Seq(xxhash64(col("k"), col("vNum"), col("vStr")), col("vNum"), col("vStr"))
 
-  /** Occurrence index j of each key (1-based) in [[contentOrder]]: the ⟨k, j⟩ sampling frame. */
-  def withOccurrence(norm: DataFrame): DataFrame =
-    norm.withColumn("j", row_number().over(Window.partitionBy("k").orderBy(contentOrder: _*)))
+  /** Occurrence index j of each key (1-based) in [[contentOrder]]: the ⟨k, j⟩
+    * sampling frame, with the key's hash `hkey` carried. See [[byHkey]] and
+    * [[numberOccurrences]], its two halves.
+    */
+  def withOccurrence(norm: DataFrame): DataFrame = numberOccurrences(byHkey(norm))
+
+  /** `rows` with `hkey` and the content hash `c` (the head of
+    * [[contentOrder]]), both computed once per row before the shuffle, in
+    * `defaultParallelism` partitions by hkey: one window task per core.
+    * Adaptive execution would merge a small table's shuffle into partitions
+    * of at least 1 MB, and run the window on fewer tasks than cores.
+    */
+  private[sketch] def byHkey(rows: DataFrame): DataFrame =
+    rows.withColumn("hkey", Hashing.hkey(col("k"))).withColumn("c", contentOrder.head)
+      .repartition(rows.sparkSession.sparkContext.defaultParallelism, col("hkey"))
+
+  /** Number [[byHkey]]'s rows `PARTITION BY hkey ORDER BY c, vNum, vStr`, so
+    * the sort compares longs; keys whose hkeys collide are numbered as one
+    * key, as they already share a sketch-join.
+    */
+  private[sketch] def numberOccurrences(rows: DataFrame): DataFrame =
+    rows.withColumn("j", row_number().over(Window.partitionBy("hkey").orderBy(col("c") +: contentOrder.tail: _*)))
+      .drop("c")
 
   /** Keep the n rows with minimum (hu, hkey) from a pre-sketch DataFrame
     * `[hkey, hu, vNum, vStr]`. Both implementations are deterministic and
@@ -182,14 +203,16 @@ object Sketcher {
   /** All schemes evaluated in the paper's Tables I/II. */
   def all: Seq[Sketcher] = Seq(Csk, IndSk, Lv2Sk, PriSk, TupSk)
 
-  /** Build a pre-sketch `[hkey, hu, vNum, vStr]` from normalized rows. */
-  private[sketch] def pre(norm: DataFrame, hu: Column): DataFrame =
-    norm.select(repro.core.Hashing.hkey(col("k")) as "hkey", hu as "hu", col("vNum"), col("vStr"))
+  /** Build a pre-sketch `[hkey, hu, vNum, vStr]` from normalized rows that carry their hkey. */
+  private[sketch] def pre(rows: DataFrame, hu: Column): DataFrame =
+    rows.select(col("hkey"), hu as "hu", col("vNum"), col("vStr"))
 
   /** The candidate side of a scheme: `agg` of `df`'s (key, value) pair, one
     * row per key, and the n of them with minimum (`hu`, hkey).
     */
   private[sketch] def right(df: DataFrame, key: String, value: String, agg: AggFn,
-                            hu: Column, conf: Sketch.SketchConf): DataFrame =
-    Sketch.topN(pre(Featurize.aggregate(df, key, value, agg), hu), conf.n)
+                            hu: Column, conf: Sketch.SketchConf): DataFrame = {
+    val aggregated = Featurize.aggregate(df, key, value, agg).withColumn("hkey", Hashing.hkey(col("k")))
+    Sketch.topN(pre(aggregated, hu), conf.n)
+  }
 }

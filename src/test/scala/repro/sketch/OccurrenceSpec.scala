@@ -1,0 +1,134 @@
+package repro.sketch
+
+import org.apache.spark.sql.{Column, DataFrame, Row}
+import org.apache.spark.sql.expressions.Window
+import org.apache.spark.sql.functions._
+import org.scalacheck.{Gen, Prop, Test => SCTest}
+import repro.SparkSpec
+import repro.core.Hashing
+import repro.sketch.Sketch.SketchConf
+import repro.stats.Rng
+
+/** The left sketchers as they were built on an occurrence window partitioned
+  * by the key itself, `row_number() OVER (PARTITION BY k ORDER BY <content
+  * order>)`, in whatever partitions Spark chose, each row's hkey computed
+  * after it. Kept as the oracle of [[Sketch.withOccurrence]]'s hkey
+  * partitions.
+  */
+object OccurrenceReference {
+  def withOccurrence(norm: DataFrame): DataFrame =
+    norm.withColumn("j", row_number().over(Window.partitionBy("k").orderBy(Sketch.contentOrder: _*)))
+
+  private def pre(rows: DataFrame, hu: Column): DataFrame =
+    rows.select(Hashing.hkey(col("k")) as "hkey", hu as "hu", col("vNum"), col("vStr"))
+
+  private def tuple(df: DataFrame, key: String, value: String, salt: Int, conf: SketchConf): DataFrame = {
+    val withJ = withOccurrence(Sketch.normalize(df, key, value))
+    Sketch.topN(pre(withJ, Hashing.huTuple(salt, col("k"), col("j"))), conf.n)
+  }
+
+  private def twoLevel(df: DataFrame, key: String, value: String, conf: SketchConf,
+                       keyOrder: (Column, Column) => Column): DataFrame = {
+    val norm   = Sketch.normalize(df, key, value)
+    val counts = norm.groupBy("k").agg(count(lit(1)) as "Nk")
+      .withColumn("huKey", Hashing.huKey(Hashing.SaltKey, col("k")))
+    val chosen = counts
+      .orderBy(keyOrder(col("huKey"), col("Nk")).asc, col("k").asc)
+      .limit(conf.n)
+      .crossJoin(counts.agg(sum("Nk") as "N"))
+    val byHash = Window.partitionBy("k")
+      .orderBy(Hashing.huTuple(Hashing.SaltSecondLevel, col("k"), col("j")), col("j"))
+    val kept = withOccurrence(norm.join(chosen, Seq("k")))
+      .withColumn("rank", row_number().over(byHash))
+      .filter(col("rank") <= greatest(lit(1L), floor(lit(conf.n.toLong) * col("Nk") / col("N"))))
+    pre(kept, col("huKey"))
+  }
+
+  /** The left sketch `sk` gave on the key-partitioned window; every scheme but CSK, which numbers no rows. */
+  def sketchLeft(sk: Sketcher, df: DataFrame, key: String, value: String, conf: SketchConf): DataFrame = sk match {
+    case TupSk => tuple(df, key, value, Hashing.SaltTuple, conf)
+    case IndSk => tuple(df, key, value, Hashing.SaltIndLeft, conf)
+    case Lv2Sk => twoLevel(df, key, value, conf, TwoLevel.uniformKeyOrder)
+    case PriSk => twoLevel(df, key, value, conf, TwoLevel.priorityKeyOrder)
+    case other => throw new IllegalArgumentException(s"${other.name} numbers no occurrences")
+  }
+}
+
+/** The occurrence window runs in one hkey partition per core and gives the
+  * rows the key-partitioned window gave.
+  */
+class OccurrenceSpec extends SparkSpec {
+  import spark.implicits._
+
+  private val numbered = Seq(TupSk, IndSk, Lv2Sk, PriSk)
+
+  /** A row's fields, each double as its bits, so that -0.0 and 0.0 differ. */
+  private def bits(r: Row): Seq[Any] = r.toSeq.map {
+    case d: java.lang.Double => java.lang.Double.doubleToRawLongBits(d)
+    case other               => other
+  }
+
+  /** Each scheme's left sketch by `build`, its rows tagged with the scheme, from one collect. */
+  private def leftSketches(build: Sketcher => DataFrame): Map[Seq[Any], Int] =
+    numbered.map(sk => build(sk).select(lit(sk.name), col("hkey"), col("hu"), col("vNum"), col("vStr")))
+      .reduce(_ union _).collect().toSeq.map(bits).groupBy(identity).map { case (k, v) => k -> v.size }
+
+  /** Rows over `nKeys` skewed keys with one-decimal values, -0.0 among them, `v` DOUBLE or STRING. */
+  private def table(rows: Int, nKeys: Int, seed: Long, numeric: Boolean, parts: Int): DataFrame = {
+    val rng = new Rng(seed)
+    val kv  = Seq.fill(rows) {
+      val k = (nKeys * rng.nextDouble() * rng.nextDouble()).toLong
+      val v = if (rng.nextInt(20) == 0) -0.0 else (rng.nextInt(31) - 15) / 10.0
+      (k, v)
+    }
+    val sc = spark.sparkContext
+    if (numeric) sc.parallelize(kv, parts).toDF("k", "v")
+    else sc.parallelize(kv.map { case (k, v) => (k, s"s$v") }, parts).toDF("k", "v")
+  }
+
+  test("every left sketcher gives the rows of the key-partitioned occurrence window (scalacheck)") {
+    val gen = for {
+      rows    <- Gen.choose(1, 800)
+      nKeys   <- Gen.oneOf(Gen.choose(1, 10), Gen.choose(50, 400))
+      seed    <- Gen.choose(0L, 1000000L)
+      numeric <- Gen.oneOf(true, false)
+      n       <- Gen.oneOf(4, 32, 256)
+    } yield (rows, nKeys, seed, numeric, n)
+    def holds(rows: Int, nKeys: Int, seed: Long, numeric: Boolean, n: Int): Boolean = {
+      val df   = table(rows, nKeys, seed, numeric, 4)
+      val conf = SketchConf(n)
+      val differ = for {
+        (layout, in) <- Seq("coalesce(1)" -> df.coalesce(1), "repartition(3)" -> df.repartition(3),
+                            "repartition(7)" -> df.repartition(7))
+        if leftSketches(_.sketchLeft(in, "k", "v", conf)) !=
+          leftSketches(OccurrenceReference.sketchLeft(_, in, "k", "v", conf))
+      } yield layout
+      if (differ.nonEmpty)
+        println(s"left sketches differ under ${differ.mkString(", ")}: $rows rows, $nKeys keys, seed $seed, numeric=$numeric, n=$n")
+      differ.isEmpty
+    }
+    for (numeric <- Seq(true, false)) assert(holds(3000, 300, 1, numeric, 64))
+    val prop = Prop.forAll(gen) { case (rows, nKeys, seed, numeric, n) => holds(rows, nKeys, seed, numeric, n) }
+    val res  = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(6), prop)
+    assert(res.passed, res.status.toString)
+  }
+
+  test("the occurrence window runs defaultParallelism tasks after its shuffle on a table under 1 MB") {
+    val sc   = spark.sparkContext
+    val norm = Sketch.normalize(table(5000, 400, 2, numeric = true, 3), "k", "v")
+    val jobs = jobsOf("occurrence-tasks")(Sketch.withOccurrence(norm).write.format("noop").mode("overwrite").save())
+    assert(jobs.nonEmpty)
+    // The last job runs the window: its shuffle's map stage is skipped, its result stage numbers the rows.
+    val window = sc.statusTracker.getJobInfo(jobs.max).get.stageIds().max
+    assert(sc.statusTracker.getStageInfo(window).get.numTasks() == sc.defaultParallelism)
+  }
+
+  test("each scheme's left sketch runs a fixed number of Spark jobs on a multi-partition input") {
+    val df       = table(3000, 300, 3, numeric = true, 4)
+    val expected = Map("CSK" -> 2, "INDSK" -> 2, "LV2SK" -> 5, "PRISK" -> 5, "TUPSK" -> 2)
+    val got      = Sketcher.all.map { sk =>
+      sk.name -> jobsOf(s"left-jobs-${sk.name}")(sk.sketchLeft(df, "k", "v", SketchConf(64)).collect()).size
+    }.toMap
+    assert(got == expected)
+  }
+}
