@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.Column
+import org.apache.spark.sql.catalyst.expressions.XXH64
 import org.apache.spark.sql.functions._
 
 /** Hash functions used by the sketches (Section IV, "Approach Overview").
@@ -11,9 +12,12 @@ import org.apache.spark.sql.functions._
   * used 32-bit Murmur3 — documented substitution in DESIGN.md) and Fibonacci
   * hashing for `h_u` as in the paper.
   *
-  * `h_u` is a Scala UDF rather than a column expression because Spark 4 runs
-  * in ANSI mode by default, where the wrapping 64-bit multiply
+  * In a column, `h_u` is a Scala UDF rather than a column expression because
+  * Spark 4 runs in ANSI mode by default, where the wrapping 64-bit multiply
   * `z * 0x9E3779B97F4A7C15` would raise an overflow error as a column expr.
+  * TUPSK's and INDSK's left sketches number ⟨k, j⟩ inside a typed kernel
+  * ([[repro.sketch.LeastTuples]]), so there h_u(⟨k, j⟩) comes in two parts:
+  * the column [[seed]] before the shuffle and the JVM function [[huAt]] after.
   */
 object Hashing {
 
@@ -34,15 +38,26 @@ object Hashing {
     */
   def hkey(key: Column): Column = xxhash64(key.cast("string"))
 
+  /** The salted key hash `xxhash64(salt, k)`: Spark's multi-column xxhash64
+    * folds its columns left to right, each hashed with the previous hash as
+    * its seed, so this is also the state [[huTuple]] hashes j from.
+    */
+  def seed(salt: Int, key: Column): Column = xxhash64(lit(salt), key.cast("string"))
+
   /** h_u over a salted key: `fib(xxhash64(salt, k))`. Distinct salts give the
     * independent hash functions the different sampling levels need.
     */
-  def huKey(salt: Int, key: Column): Column =
-    fibUdf(xxhash64(lit(salt), key.cast("string")))
+  def huKey(salt: Int, key: Column): Column = fibUdf(seed(salt, key))
 
   /** h_u over the occurrence tuple ⟨k, j⟩ (TUPSK's sampling frame). */
   def huTuple(salt: Int, key: Column, j: Column): Column =
     fibUdf(xxhash64(lit(salt), key.cast("string"), j.cast("int")))
+
+  /** [[huTuple]] of ⟨k, j⟩ from k's [[seed]] `s`, on the JVM: xxhash64 folds
+    * an INT column in as `XXH64.hashInt(j, s)`, so this equals
+    * `huTuple(salt, k, j)` bit for bit.
+    */
+  def huAt(s: Long, j: Int): Double = fib(XXH64.hashInt(j, s))
 
   /** Salt for TUPSK's ⟨k,j⟩ domain; the candidate side hashes ⟨k,1⟩ with the
     * same salt, which is what coordinates the two sketches.

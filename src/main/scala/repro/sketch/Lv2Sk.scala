@@ -61,7 +61,7 @@ private[sketch] object TwoLevel {
     // occurrence window's hkey partitions.
     val byHash = Window.partitionBy("hkey")
       .orderBy(Hashing.huTuple(Hashing.SaltSecondLevel, col("k"), col("j")), col("j"))
-    val kept = Sketch.numberOccurrences(Sketch.byHkey(norm).join(broadcast(chosen), Seq("k")))
+    val kept = Sketch.numberOccurrences(Sketch.byHkey(norm, col("*")).join(broadcast(chosen), Seq("k")))
       .withColumn("rank", row_number().over(byHash))
       .filter(col("rank") <= greatest(lit(1L), floor(lit(n.toLong) * col("Nk") / col("N"))))
 

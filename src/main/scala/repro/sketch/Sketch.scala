@@ -71,18 +71,20 @@ object Sketch {
 
   /** Occurrence index j of each key (1-based) in [[contentOrder]]: the ⟨k, j⟩
     * sampling frame, with the key's hash `hkey` carried. See [[byHkey]] and
-    * [[numberOccurrences]], its two halves.
+    * [[numberOccurrences]], its two halves. TUPSK and INDSK number the frame
+    * inside [[LeastTuples]]; this stays for the benchmark's staged TUPSK.
     */
-  def withOccurrence(norm: DataFrame): DataFrame = numberOccurrences(byHkey(norm))
+  def withOccurrence(norm: DataFrame): DataFrame = numberOccurrences(byHkey(norm, col("*")))
 
-  /** `rows` with `hkey` and the content hash `c` (the head of
-    * [[contentOrder]]), both computed once per row before the shuffle, in
-    * `defaultParallelism` partitions by hkey: one window task per core.
-    * Adaptive execution would merge a small table's shuffle into partitions
-    * of at least 1 MB, and run the window on fewer tasks than cores.
+  /** The `carried` columns of `rows` with `hkey` and the content hash `c`
+    * (the head of [[contentOrder]]), all computed once per row in one
+    * projection before the shuffle, in `defaultParallelism` partitions by
+    * hkey: one numbering task per core. Adaptive execution would merge a
+    * small table's shuffle into partitions of at least 1 MB, and number the
+    * rows on fewer tasks than cores.
     */
-  private[sketch] def byHkey(rows: DataFrame): DataFrame =
-    rows.withColumn("hkey", Hashing.hkey(col("k"))).withColumn("c", contentOrder.head)
+  private[sketch] def byHkey(rows: DataFrame, carried: Column*): DataFrame =
+    rows.select(carried :+ (Hashing.hkey(col("k")) as "hkey") :+ (contentOrder.head as "c"): _*)
       .repartition(rows.sparkSession.sparkContext.defaultParallelism, col("hkey"))
 
   /** Number [[byHkey]]'s rows `PARTITION BY hkey ORDER BY c, vNum, vStr`, so

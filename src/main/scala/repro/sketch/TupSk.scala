@@ -20,11 +20,8 @@ import repro.sketch.Sketch.SketchConf
 object TupSk extends Sketcher {
   val name = "TUPSK"
 
-  def sketchLeft(df: DataFrame, key: String, value: String, conf: SketchConf): DataFrame = {
-    val withJ = Sketch.withOccurrence(Sketch.normalize(df, key, value))
-    val pre   = Sketcher.pre(withJ, Hashing.huTuple(Hashing.SaltTuple, col("k"), col("j")))
-    Sketch.topN(pre, conf.n)
-  }
+  def sketchLeft(df: DataFrame, key: String, value: String, conf: SketchConf): DataFrame =
+    LeastTuples(Sketch.normalize(df, key, value), Hashing.SaltTuple, conf.n)
 
   def sketchRight(df: DataFrame, key: String, value: String, agg: AggFn,
                   conf: SketchConf): DataFrame =

@@ -1,6 +1,8 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import org.scalacheck.{Gen, Prop, Test => SCTest}
 import repro.SparkSpec
 
 class HashingSpec extends SparkSpec {
@@ -91,5 +93,29 @@ class HashingSpec extends SparkSpec {
     val deciles = new Array[Int](10)
     us.foreach(u => deciles((u * 10).toInt) += 1)
     deciles.foreach(c => assert(math.abs(c - 2000) < 250, deciles.mkString(",")))
+  }
+
+  test("seed before the shuffle and huAt after it give huTuple bit for bit (scalacheck)") {
+    import spark.implicits._
+    val j    = Gen.frequency(8 -> Gen.choose(1, 1 << 20), 1 -> Gen.const(1), 1 -> Gen.const(1 << 20))
+    val text = Gen.oneOf(
+      Gen.const(""),
+      Gen.asciiPrintableStr,
+      Gen.stringOf(Gen.choose('\u00a0', '\ud7ff')),
+      Gen.listOf(Gen.oneOf("é", "ß", "日本", "\uff21", "\ud83d\ude00", "\u0000")).map(_.mkString),
+      Gen.stringOfN(3000, Gen.alphaNumChar))
+    // Each table's k is hashed through its string form, in Spark, on both sides of the split.
+    def agrees(df: DataFrame): Boolean = Seq(SaltTuple, SaltIndLeft).forall { salt =>
+      df.select(seed(salt, col("k")), col("j"), huTuple(salt, col("k"), col("j"))).collect().forall { r =>
+        java.lang.Double.doubleToRawLongBits(huAt(r.getLong(0), r.getInt(1))) ==
+          java.lang.Double.doubleToRawLongBits(r.getDouble(2))
+      }
+    }
+    val tables = Gen.oneOf(
+      Gen.listOf(Gen.zip(Gen.long, j)).map(_.toDF("k", "j")),
+      Gen.listOf(Gen.zip(Gen.choose(-1e12, 1e12), j)).map(_.toDF("k", "j")),
+      Gen.listOf(Gen.zip(text, j)).map(_.toDF("k", "j")))
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(30), Prop.forAll(tables)(agrees))
+    assert(res.passed, res.status.toString)
   }
 }

@@ -69,8 +69,8 @@ class OccurrenceSpec extends SparkSpec {
   }
 
   /** Each scheme's left sketch by `build`, its rows tagged with the scheme, from one collect. */
-  private def leftSketches(build: Sketcher => DataFrame): Map[Seq[Any], Int] =
-    numbered.map(sk => build(sk).select(lit(sk.name), col("hkey"), col("hu"), col("vNum"), col("vStr")))
+  private def leftSketches(build: Sketcher => DataFrame, schemes: Seq[Sketcher] = numbered): Map[Seq[Any], Int] =
+    schemes.map(sk => build(sk).select(lit(sk.name), col("hkey"), col("hu"), col("vNum"), col("vStr")))
       .reduce(_ union _).collect().toSeq.map(bits).groupBy(identity).map { case (k, v) => k -> v.size }
 
   /** Rows over `nKeys` skewed keys with one-decimal values, -0.0 among them, `v` DOUBLE or STRING. */
@@ -130,5 +130,87 @@ class OccurrenceSpec extends SparkSpec {
       sk.name -> jobsOf(s"left-jobs-${sk.name}")(sk.sketchLeft(df, "k", "v", SketchConf(64)).collect()).size
     }.toMap
     assert(got == expected)
+  }
+
+  test("TUPSK and INDSK give the window's rows on a dominant key, empty input slices and non-ASCII values") {
+    val sc  = spark.sparkContext
+    val rng = new Rng(5)
+    // Key 0 holds 500 of 700 rows: more than n and than all other keys together.
+    val dominant = Seq.tabulate(700) { i =>
+      (if (i % 7 < 5) 0L else 1L + rng.nextInt(60), (rng.nextInt(31) - 15) / 10.0)
+    }
+    val words    = Seq("", "é", "ß", "日本語", "\uff21", "\ud83d\ude00", "a\u0000b", "ключ", "x" * 500)
+    val nonAscii = Seq.tabulate(400) { i =>
+      (words(rng.nextInt(words.size)) + (i % 13), words(rng.nextInt(words.size)) + words(rng.nextInt(words.size)))
+    }
+    val cases = Seq(
+      "a dominant key"                -> sc.parallelize(dominant, 4).toDF("k", "v"),
+      "a dominant key, string values" -> sc.parallelize(dominant.map { case (k, v) => (k, s"s$v") }, 4).toDF("k", "v"),
+      "7 slices over 3 rows"          -> sc.parallelize(Seq((1L, 0.5), (1L, 0.5), (2L, -1.0)), 7).toDF("k", "v"),
+      "7 slices over 3 string rows"   -> sc.parallelize(Seq((1L, "é"), (1L, "é"), (2L, "")), 7).toDF("k", "v"),
+      "non-ASCII keys and values"     -> sc.parallelize(nonAscii, 3).toDF("k", "v"))
+    val tuple = Seq(TupSk, IndSk)
+    for ((name, df) <- cases; n <- Seq(4, 64, 1024)) {
+      val conf = SketchConf(n)
+      assert(leftSketches(_.sketchLeft(df, "k", "v", conf), tuple) ==
+        leftSketches(OccurrenceReference.sketchLeft(_, df, "k", "v", conf), tuple), s"$name, n = $n")
+    }
+  }
+
+  test("the left-sketch kernel numbers a key's rows in Spark's (c, vNum, vStr) order, ties in c included") {
+    import Ordering.Double.TotalOrdering
+    // Rows of two hkeys that tie on c, so that vNum and vStr decide: NULLs
+    // first, strings by their UTF-8 bytes ("\ud83d\ude00" after "\uff21",
+    // where Java's UTF-16 order puts it first). Each row's own seed s makes
+    // its hu tell which j it got.
+    val strs = Seq(None, Some(""), Some("\uff21"), Some("\ud83d\ude00"), Some("a"), Some("é"))
+    val nums = Seq(None, Some(-1.5), Some(0.0), Some(2.0))
+    val rows = for {
+      hkey <- Seq(-3L, 7L)
+      c    <- Seq(Long.MinValue, 5L)
+      vNum <- nums
+      vStr <- strs
+    } yield LeastTuples.Occurrence(hkey, (hkey, c, vNum, vStr).hashCode.toLong, c, vNum, vStr)
+    val window = spark.createDataset(rows).toDF()
+      .withColumn("j", row_number().over(Window.partitionBy("hkey").orderBy("c", "vNum", "vStr")))
+      .collect().toSeq.map(r => (Hashing.huAt(r.getLong(1), r.getInt(5)), r.getLong(0),
+        Option(r.get(3)).map(_.asInstanceOf[Double]), Option(r.getString(4))))
+    for (n <- Seq(3, 40, rows.size)) {
+      val got = LeastTuples.least(new scala.util.Random(n).shuffle(rows).sortBy(_.hkey).iterator, n)
+        .map(r => (r.hu, r.hkey, r.vNum, r.vStr)).toSeq.sorted
+      assert(got == window.sorted.take(n), s"n = $n")
+    }
+  }
+
+  test("TUPSK's and INDSK's left sketches plan no window and no h_u UDF, sort by hkey alone after the exchange, and run defaultParallelism tasks after it") {
+    import org.apache.spark.sql.catalyst.expressions.ScalaUDF
+    import org.apache.spark.sql.catalyst.plans.logical.{Window => WindowNode}
+    import org.apache.spark.sql.execution.{ProjectExec, SortExec, SparkPlan}
+    import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanExec
+    import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
+    val sc = spark.sparkContext
+    val df = table(5000, 400, 2, numeric = true, 3)
+    for (sk <- Seq(TupSk, IndSk)) {
+      val sketch  = sk.sketchLeft(df, "k", "v", SketchConf(64))
+      val logical = sketch.queryExecution.optimizedPlan
+      assert(logical.collect { case w: WindowNode => w }.isEmpty, s"${sk.name}:\n$logical")
+      assert(logical.flatMap(_.expressions).forall(_.find(_.isInstanceOf[ScalaUDF]).isEmpty), s"${sk.name}:\n$logical")
+      val physical = sketch.queryExecution.executedPlan match {
+        case a: AdaptiveSparkPlanExec => a.inputPlan
+        case p                        => p
+      }
+      val sorts = physical.collect { case s: SortExec => s }
+      assert(sorts.size == 1, s"${sk.name}:\n$physical")
+      def below(p: SparkPlan): SparkPlan = p match {
+        case ProjectExec(_, child) => below(child)
+        case other                 => other
+      }
+      assert(below(sorts.head.child).isInstanceOf[ShuffleExchangeExec], s"${sk.name}:\n$physical")
+      assert(sorts.head.sortOrder.map(_.child.references.map(_.name).toSeq) == Seq(Seq("hkey")), s"${sk.name}:\n$physical")
+      val jobs   = jobsOf(s"left-tasks-${sk.name}")(sketch.collect())
+      val stages = sc.statusTracker.getJobInfo(jobs.max).get.stageIds()
+      // The last job's result stage reads the shuffle: it sorts, numbers, hashes and cuts.
+      assert(sc.statusTracker.getStageInfo(stages.max).get.numTasks() == sc.defaultParallelism, sk.name)
+    }
   }
 }
