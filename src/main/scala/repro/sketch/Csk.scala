@@ -13,15 +13,12 @@ import repro.sketch.Sketch.SketchConf
   * left join would replicate into the feature column — is lost, which is the
   * estimation bias this baseline demonstrates.
   */
-object Csk extends Sketcher {
-  val name = "CSK"
-
+object Csk extends Sketcher("CSK", Hashing.huKey(Hashing.SaltKey, col("k"))) {
   def sketchLeft(df: DataFrame, key: String, value: String, conf: SketchConf): DataFrame =
     sketchRight(df, key, value, AggFn.First, conf)
 
-  def sketchRight(df: DataFrame, key: String, value: String, agg: AggFn,
-                  conf: SketchConf): DataFrame =
-    // agg intentionally ignored: CSK keeps one of the key's values rather than
-    // applying an aggregation that would modify the original values.
-    Sketcher.right(df, key, value, AggFn.First, Hashing.huKey(Hashing.SaltKey, col("k")), conf)
+  // agg intentionally ignored: CSK keeps one of the key's values rather than
+  // applying an aggregation that would modify the original values.
+  override def sketchRight(df: DataFrame, key: String, value: String, agg: AggFn,
+                           conf: SketchConf): DataFrame = super.sketchRight(df, key, value, AggFn.First, conf)
 }

@@ -11,13 +11,7 @@ import repro.sketch.Sketch.SketchConf
   * samples recovers quadratically fewer join rows (Section IV), which is the
   * failure mode this baseline demonstrates.
   */
-object IndSk extends Sketcher {
-  val name = "INDSK"
-
+object IndSk extends Sketcher("INDSK", Hashing.huKey(Hashing.SaltIndRight, col("k"))) {
   def sketchLeft(df: DataFrame, key: String, value: String, conf: SketchConf): DataFrame =
     LeastTuples(Sketch.normalize(df, key, value), Hashing.SaltIndLeft, conf.n)
-
-  def sketchRight(df: DataFrame, key: String, value: String, agg: AggFn,
-                  conf: SketchConf): DataFrame =
-    Sketcher.right(df, key, value, agg, Hashing.huKey(Hashing.SaltIndRight, col("k")), conf)
 }

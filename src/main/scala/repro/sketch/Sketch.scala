@@ -190,15 +190,20 @@ object Sketch {
 /** One sketch tuple; `hu` orders the k-minimum selection. */
 final case class SketchRow(hkey: Long, hu: Double, vNum: Option[Double], vStr: Option[String])
 
-/** A sketching scheme: how to sample the train (left) table, whose keys may
-  * repeat, and the candidate (right) table, whose repeated keys are
-  * aggregated into the `T_aug` the join needs (Section IV).
+/** A sketching scheme (Section IV): how it samples the train (left) table,
+  * whose keys may repeat, and the hash `keyHash` of a key `k` by which it
+  * samples the candidate (right) table. Every scheme samples that side alike:
+  * repeated keys are aggregated into the `T_aug` the join needs, and the n
+  * keys of least (`keyHash`, hkey) are kept.
   */
-trait Sketcher {
-  def name: String
+abstract class Sketcher(val name: String, val keyHash: Column) {
   def sketchLeft(df: DataFrame, key: String, value: String, conf: Sketch.SketchConf): DataFrame
+
   def sketchRight(df: DataFrame, key: String, value: String, agg: AggFn,
-                  conf: Sketch.SketchConf): DataFrame
+                  conf: Sketch.SketchConf): DataFrame = {
+    val aggregated = Featurize.aggregate(df, key, value, agg).withColumn("hkey", Hashing.hkey(col("k")))
+    Sketch.topN(Sketcher.pre(aggregated, keyHash), conf.n)
+  }
 }
 
 object Sketcher {
@@ -208,13 +213,4 @@ object Sketcher {
   /** Build a pre-sketch `[hkey, hu, vNum, vStr]` from normalized rows that carry their hkey. */
   private[sketch] def pre(rows: DataFrame, hu: Column): DataFrame =
     rows.select(col("hkey"), hu as "hu", col("vNum"), col("vStr"))
-
-  /** The candidate side of a scheme: `agg` of `df`'s (key, value) pair, one
-    * row per key, and the n of them with minimum (`hu`, hkey).
-    */
-  private[sketch] def right(df: DataFrame, key: String, value: String, agg: AggFn,
-                            hu: Column, conf: Sketch.SketchConf): DataFrame = {
-    val aggregated = Featurize.aggregate(df, key, value, agg).withColumn("hkey", Hashing.hkey(col("k")))
-    Sketch.topN(pre(aggregated, hu), conf.n)
-  }
 }

@@ -17,15 +17,9 @@ import repro.sketch.Sketch.SketchConf
   * n minimum h_u(⟨k,1⟩) keys are kept — hashing ⟨k,1⟩ with the same salt as
   * the left side is what coordinates the two sketches.
   */
-object TupSk extends Sketcher {
-  val name = "TUPSK"
-
+object TupSk extends Sketcher("TUPSK", Hashing.huTuple(Hashing.SaltTuple, col("k"), lit(1))) {
   def sketchLeft(df: DataFrame, key: String, value: String, conf: SketchConf): DataFrame =
     LeastTuples(Sketch.normalize(df, key, value), Hashing.SaltTuple, conf.n)
-
-  def sketchRight(df: DataFrame, key: String, value: String, agg: AggFn,
-                  conf: SketchConf): DataFrame =
-    Sketcher.right(df, key, value, agg, rightHu, conf)
 
   /** Every candidate's right sketch in one lazy plan: the rows
     * `sketchRight` gives for `features(i)`, with `cand = i`. h_u(⟨k,1⟩) and
@@ -45,13 +39,10 @@ object TupSk extends Sketcher {
     require(features.nonEmpty, "an index needs at least one candidate")
     val byHash = Window.partitionBy("cand").orderBy(col("hu"), col("hkey"))
     def leastKeys(rows: DataFrame): DataFrame =
-      rows.withColumn("hkey", Hashing.hkey(col("k"))).withColumn("hu", rightHu)
+      rows.withColumn("hkey", Hashing.hkey(col("k"))).withColumn("hu", keyHash)
         .withColumn("rank", dense_rank().over(byHash))
         .filter(col("rank") <= conf.n)
     Featurize.aggregateAll(features, leastKeys, "hkey", "hu")
       .select("hkey", "hu", "vNum", "vStr", "cand")
   }
-
-  /** The right side's hash: h_u(⟨k,1⟩), one tuple per aggregated key. */
-  private val rightHu = Hashing.huTuple(Hashing.SaltTuple, col("k"), lit(1))
 }

@@ -23,28 +23,17 @@ object Decompose {
     */
   final case class Pair(train: DataFrame, cand: DataFrame)
 
-  /** Decompose parallel value arrays. `xKey` maps x_i to its discrete key
-    * under KeyDep (identity for ints; provided separately because X may be
-    * stored as Double).
-    */
-  def apply(spark: SparkSession, xs: Array[Double], ys: Array[Double],
-            keyGen: KeyGen, xKeys: Array[Long] = null): Pair = {
+  /** Decompose parallel value arrays: both tables share one key per row. */
+  def apply(spark: SparkSession, xs: Array[Double], ys: Array[Double], keyGen: KeyGen): Pair = {
     import spark.implicits._
-    val n = xs.length
-    require(ys.length == n, "decompose: size mismatch")
-    keyGen match {
-      case KeyInd =>
-        val train = (0 until n).map(i => (i.toLong, ys(i))).toDF("k", "y")
-        val cand  = (0 until n).map(i => (i.toLong, xs(i))).toDF("k", "x")
-        Pair(train, cand)
-      case KeyDep =>
-        val keys  = if (xKeys != null) xKeys else xs.map { x =>
-          require(x == math.rint(x), s"KeyDep requires discrete X, got $x")
-          x.toLong
-        }
-        val train = (0 until n).map(i => (keys(i), ys(i))).toDF("k", "y")
-        val cand  = (0 until n).map(i => (keys(i), xs(i))).toDF("k", "x")
-        Pair(train, cand)
+    require(ys.length == xs.length, "decompose: size mismatch")
+    val keys: Seq[Long] = keyGen match {
+      case KeyInd => xs.indices.map(_.toLong)
+      case KeyDep => xs.toSeq.map { x =>
+        require(x == math.rint(x), s"KeyDep requires discrete X, got $x")
+        x.toLong
+      }
     }
+    Pair(keys.zip(ys).toDF("k", "y"), keys.zip(xs).toDF("k", "x"))
   }
 }

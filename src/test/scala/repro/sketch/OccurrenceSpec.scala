@@ -48,8 +48,8 @@ object OccurrenceReference {
   def sketchLeft(sk: Sketcher, df: DataFrame, key: String, value: String, conf: SketchConf): DataFrame = sk match {
     case TupSk => tuple(df, key, value, Hashing.SaltTuple, conf)
     case IndSk => tuple(df, key, value, Hashing.SaltIndLeft, conf)
-    case Lv2Sk => twoLevel(df, key, value, conf, TwoLevel.uniformKeyOrder)
-    case PriSk => twoLevel(df, key, value, conf, TwoLevel.priorityKeyOrder)
+    case Lv2Sk => twoLevel(df, key, value, conf, (hu, _) => hu)
+    case PriSk => twoLevel(df, key, value, conf, (hu, nk) => hu / nk.cast("double"))
     case other => throw new IllegalArgumentException(s"${other.name} numbers no occurrences")
   }
 }

@@ -166,4 +166,16 @@ class TupSkSpec extends SparkSpec {
       }
     }
   }
+
+  test("the index's dense_rank filter is a WindowGroupLimit up to n = 1000, Spark's default threshold, and none above it") {
+    import org.apache.spark.sql.catalyst.plans.logical.WindowGroupLimit
+    val df       = spark.sparkContext.parallelize(Seq(("a", 1.0), ("a", 2.0), ("b", 3.0))).toDF("k", "v")
+    val features = Seq(AggFn.Avg, AggFn.Mode, AggFn.Avg).map(Featurize.Feature(df, "k", "v", _))
+    def limits(n: Int): Int =
+      TupSk.index(features, SketchConf(n)).queryExecution.optimizedPlan.collect { case w: WindowGroupLimit => w }.size
+    // One window per distinct AGG. Above the threshold no limit runs before
+    // the window's shuffle, which then carries every normalized row.
+    assert(limits(1000) == 2)
+    assert(limits(1001) == 0)
+  }
 }

@@ -62,12 +62,6 @@ class DecomposeSpec extends SparkSpec {
     intercept[IllegalArgumentException](Decompose(spark, xs, ys, Decompose.KeyDep))
   }
 
-  test("explicit xKeys override is honored") {
-    val xs = Array(0.5, 1.5); val ys = Array(1.0, 2.0)
-    val p  = Decompose(spark, xs, ys, Decompose.KeyDep, xKeys = Array(7L, 8L))
-    assert(p.train.select("k").collect().map(_.getLong(0)).sorted.toSeq == Seq(7L, 8L))
-  }
-
   test("KeyDep key frequencies follow the X marginal") {
     val (xs, ys) = data(2000, 4, 6)
     val p = Decompose(spark, xs, ys, Decompose.KeyDep)
