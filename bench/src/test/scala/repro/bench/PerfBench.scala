@@ -13,7 +13,7 @@ import repro.exp.PerfExp
 class PerfBench extends SparkSpec {
 
   private lazy val rows = {
-    val r    = PerfExp.run(spark, sizes = Seq(5000, 10000, 20000), n = 256)
+    val r    = PerfExp.run(spark)
     val text = PerfExp.format(r)
     println("\n===== Section V-D performance exemplars (reproduced) =====")
     println(text)

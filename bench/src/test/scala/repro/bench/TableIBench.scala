@@ -4,10 +4,8 @@ import repro.SparkSpec
 import repro.exp.TableIExp
 
 /** Reproduces Table I: avg sketch-join size (and % of n) plus MSE vs the
-  * analytically known true MI, per sketching scheme on CDUnif and Trinomial.
-  *
-  * Scale knobs (env): REPRO_TRI_TRIALS (per m, default 4), REPRO_CD_TRIALS
-  * (default 20). Paper values for reference:
+  * analytically known true MI, per sketching scheme on CDUnif and Trinomial,
+  * at `TableIExp.run`'s defaults. Paper values for reference:
   *   CDUnif    CSK 194.2/75.87%/4.56, INDSK 107.9/42.16%/9.57,
   *             LV2SK 232.9/90.99%/2.94, PRISK 232.9/90.99%/2.94,
   *             TUPSK 256.0/100%/0.77
@@ -18,11 +16,7 @@ import repro.exp.TableIExp
 class TableIBench extends SparkSpec {
 
   private lazy val rows = {
-    val tri = sys.env.getOrElse("REPRO_TRI_TRIALS", "4").toInt
-    val cd  = sys.env.getOrElse("REPRO_CD_TRIALS", "20").toInt
-    val recs = TableIExp.run(spark, n = TableIExp.SketchN, triTrialsPerM = tri,
-      cdTrials = cd, seed = 7)
-    val summary = TableIExp.summarize(recs)
+    val summary = TableIExp.summarize(TableIExp.run(spark))
     val text    = TableIExp.format(summary)
     println("\n===== TABLE I (reproduced) =====")
     println(text)

@@ -6,21 +6,16 @@ import repro.exp.TableIIExp
 /** Reproduces Table II on the synthetic open-data substitute collections:
   * per sketching scheme, average sketch-join size, Spearman's R between the
   * sketch estimate and the full-join estimate, and MSE (sketch joins > 100
-  * rows only). Paper values for reference:
+  * rows only), at `TableIIExp.run`'s defaults. Paper values for reference:
   *   NYC LV2SK 230.9/0.81/1.41, PRISK 231.1/0.79/1.36, TUPSK 185.3/0.86/0.93
   *   WBF LV2SK 231.2/0.40/1.75, PRISK 226.6/0.40/1.76, TUPSK 194.9/0.45/1.46
   * (Paper sketch size n=1024 with joins filtered at >100; join sizes are not
   * comparable in absolute terms since our collections are synthetic.)
-  *
-  * Scale knob (env): REPRO_PAIRS per collection, default 60.
   */
 class TableIIBench extends SparkSpec {
 
   private lazy val rows = {
-    val nPairs = sys.env.getOrElse("REPRO_PAIRS", "60").toInt
-    val recs = Seq("NYC", "WBF").flatMap(c =>
-      TableIIExp.run(spark, c, nPairs = nPairs, n = TableIIExp.SketchN, seed = 11))
-    val summary = TableIIExp.summarize(recs)
+    val summary = TableIIExp.summarize(Seq("NYC", "WBF").flatMap(TableIIExp.run(spark, _)))
     val text    = TableIIExp.format(summary)
     println("\n===== TABLE II (reproduced, synthetic open-data substitute) =====")
     println(text)

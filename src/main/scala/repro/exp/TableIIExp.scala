@@ -29,7 +29,8 @@ object TableIIExp {
 
   val sketchers: Seq[Sketcher] = Seq(Lv2Sk, PriSk, TupSk)
 
-  def run(spark: SparkSession, collection: String, nPairs: Int = 120,
+  /** One collection's records; the defaults produced `bench/results/table2.txt`. */
+  def run(spark: SparkSession, collection: String, nPairs: Int = 60,
           n: Int = SketchN, seed: Long = 11): Seq[Rec] = {
     val conf = Sketch.SketchConf(n)
     val out  = Seq.newBuilder[Rec]

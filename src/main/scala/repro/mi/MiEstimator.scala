@@ -33,7 +33,6 @@ object EstimatorKind {
   case object MLE      extends EstimatorKind { val name = "MLE"      }
   case object MixedKSG extends EstimatorKind { val name = "MixedKSG" }
   case object DCKSG    extends EstimatorKind { val name = "DC-KSG"   }
-  val all: Seq[EstimatorKind] = Seq(MLE, MixedKSG, DCKSG)
 }
 
 object MI {
@@ -56,8 +55,9 @@ object MI {
     if (kind == EstimatorKind.MLE) 1 else k + 2
 
   /** Estimate I(X;Y) in nats from a paired sample with the given estimator.
-    * Returns NaN on samples below `minSize`, and when a k-NN estimator gets
-    * a string column it cannot use.
+    * Returns NaN on samples below `minSize`. A column the estimator cannot
+    * use (MixedKSG given a string column, DC-KSG given two) is rejected with
+    * an `IllegalArgumentException`.
     */
   def estimate(kind: EstimatorKind, x: ColData, y: ColData, k: Int = DefaultK): Double = {
     require(x.size == y.size, s"paired sample size mismatch: ${x.size} vs ${y.size}")
@@ -71,7 +71,8 @@ object MI {
       case (EstimatorKind.DCKSG, s: StrCol, c: NumCol)    => DcKsg.mi(s.anyValues, c.values, k)
       case (EstimatorKind.DCKSG, c: NumCol, s: StrCol)    => DcKsg.mi(s.anyValues, c.values, k)
       case (EstimatorKind.DCKSG, a: NumCol, b: NumCol)    => DcKsg.mi(a.anyValues, b.values, k)
-      case _                                              => Double.NaN
+      case _ => throw new IllegalArgumentException(
+        s"${kind.name} cannot estimate MI of a ${x.getClass.getSimpleName} and a ${y.getClass.getSimpleName}")
     }
   }
 }

@@ -43,27 +43,6 @@ object Featurize {
   def aggregate(df: DataFrame, key: String, value: String, agg: AggFn): DataFrame =
     aggregateNorm(normalize(Feature(df, key, value, agg)), agg)
 
-  /** Every feature aggregated to one row per (cand, key) that `select`
-    * keeps: `[cand, k, …carried, vNum, vStr]`, where `cand` is the feature's
-    * index in `features` and each (cand, k) row is what [[aggregate]] gives
-    * for that feature. The features that share an AGG are normalized, tagged
-    * with `cand` and unioned; `select` picks rows of that union
-    * `[k, vNum, vStr, cand]`, and must keep or drop a (cand, k)'s rows
-    * together; one `GROUP BY (cand, k, …carried)` then aggregates only those
-    * rows. `carried` names columns `select` adds that depend on k alone, so
-    * grouping by them passes them through without computing them again. So
-    * the plan holds one aggregate per distinct AGG, not one per feature. A
-    * shared aggregate mixing AGGs would not do: MODE's sort-based fallback
-    * would then read every feature's rows.
-    */
-  def aggregateAll(features: Seq[Feature], select: DataFrame => DataFrame, carried: String*): DataFrame = {
-    val tagged = features.zipWithIndex
-    features.map(_.agg).distinct.map { agg =>
-      val group = tagged.collect { case (f, i) if f.agg == agg => normalize(f).withColumn("cand", lit(i)) }
-      aggregateBy(select(group.reduce(_ unionByName _)), agg, "cand" +: "k" +: carried: _*)
-    }.reduce(_ unionByName _)
-  }
-
   /** Aggregate a normalized table `[k, vNum, vStr]` to one row per key
     * in one `GROUP BY k`, keeping the normalized value representation:
     * `[k, vNum, vStr]`.
@@ -73,7 +52,7 @@ object Featurize {
   /** [[Sketch.normalize]] of a feature's (key, value) pair, once its AGG is
     * known to accept the column's type.
     */
-  private def normalize(f: Feature): DataFrame = {
+  private[sketch] def normalize(f: Feature): DataFrame = {
     val tpe = f.df.schema(f.value).dataType
     require(tpe.isInstanceOf[NumericType] || !NumericOnly(f.agg),
       s"${f.agg.name} needs a numeric column, but ${f.value} is ${tpe.simpleString}")
@@ -85,7 +64,7 @@ object Featurize {
     * least row in [[Sketch.contentOrder]]; MODE breaks ties to the smallest
     * value; AVG sums each key's values in ascending order.
     */
-  private def aggregateBy(norm: DataFrame, agg: AggFn, keys: String*): DataFrame = {
+  private[sketch] def aggregateBy(norm: DataFrame, agg: AggFn, keys: String*): DataFrame = {
     val noStr  = lit(null).cast("string")
     val first  = min(struct(Sketch.contentOrder: _*))
     val (vNum, vStr) = agg match {

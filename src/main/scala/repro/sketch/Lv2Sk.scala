@@ -36,7 +36,7 @@ private[sketch] abstract class TwoLevel(name: String) extends Sketcher(name, Has
     // hkey shuffle, so only their rows cross it.
     val byHash = Window.partitionBy("hkey")
       .orderBy(Hashing.huTuple(Hashing.SaltSecondLevel, col("k"), col("j")), col("j"))
-    val kept = Sketch.numberOccurrences(Sketch.byHkey(norm.join(broadcast(chosen), Seq("k")), col("*")))
+    val kept = Sketch.withOccurrence(norm.join(broadcast(chosen), Seq("k")))
       .withColumn("rank", row_number().over(byHash))
       .filter(col("rank") <= greatest(lit(1L), floor(lit(n.toLong) * col("Nk") / col("N"))))
 

@@ -70,11 +70,16 @@ object Sketch {
   val contentOrder: Seq[Column] = Seq(xxhash64(col("k"), col("vNum"), col("vStr")), col("vNum"), col("vStr"))
 
   /** Occurrence index j of each key (1-based) in [[contentOrder]]: the ⟨k, j⟩
-    * sampling frame, with the key's hash `hkey` carried. See [[byHkey]] and
-    * [[numberOccurrences]], its two halves. TUPSK and INDSK number the frame
-    * inside [[LeastTuples]]; this stays for the benchmark's staged TUPSK.
+    * sampling frame, with the key's hash `hkey` carried. After [[byHkey]]'s
+    * shuffle the rows are numbered `PARTITION BY hkey ORDER BY c, vNum, vStr`,
+    * so the sort compares longs; keys whose hkeys collide are numbered as one
+    * key, as they already share a sketch-join. LV2SK and PRISK call this;
+    * TUPSK and INDSK number the frame inside [[LeastTuples]].
     */
-  def withOccurrence(norm: DataFrame): DataFrame = numberOccurrences(byHkey(norm, col("*")))
+  def withOccurrence(norm: DataFrame): DataFrame =
+    byHkey(norm, col("*"))
+      .withColumn("j", row_number().over(Window.partitionBy("hkey").orderBy(col("c") +: contentOrder.tail: _*)))
+      .drop("c")
 
   /** The `carried` columns of `rows` with `hkey` and the content hash `c`
     * (the head of [[contentOrder]]), all computed once per row in one
@@ -86,14 +91,6 @@ object Sketch {
   private[sketch] def byHkey(rows: DataFrame, carried: Column*): DataFrame =
     rows.select(carried :+ (Hashing.hkey(col("k")) as "hkey") :+ (contentOrder.head as "c"): _*)
       .repartition(rows.sparkSession.sparkContext.defaultParallelism, col("hkey"))
-
-  /** Number [[byHkey]]'s rows `PARTITION BY hkey ORDER BY c, vNum, vStr`, so
-    * the sort compares longs; keys whose hkeys collide are numbered as one
-    * key, as they already share a sketch-join.
-    */
-  private[sketch] def numberOccurrences(rows: DataFrame): DataFrame =
-    rows.withColumn("j", row_number().over(Window.partitionBy("hkey").orderBy(col("c") +: contentOrder.tail: _*)))
-      .drop("c")
 
   /** Keep the n rows with minimum (hu, hkey) from a pre-sketch DataFrame
     * `[hkey, hu, vNum, vStr]`. Both implementations are deterministic and

@@ -27,22 +27,28 @@ object TupSk extends Sketcher("TUPSK", Hashing.huTuple(Hashing.SaltTuple, col("k
     * its normalized rows, before they are aggregated:
     * `dense_rank() OVER (PARTITION BY cand ORDER BY hu, hkey) <= n` keeps
     * every row of those keys (a `row_number` would keep n rows, not n keys).
-    * [[Featurize.aggregateAll]] then aggregates only those rows, one
-    * `GROUP BY (cand, k)` per distinct AGG, which reads the window's `cand`
-    * partitioning and needs no shuffle of its own. The aggregate groups by
-    * hkey and hu as well, so each branch hashes its rows once. `dense_rank`
-    * numbers distinct (hu, hkey): two keys colliding on both hashes would
-    * both be kept, where a `row_number` over the aggregated keys kept an
-    * arbitrary one at the n-th place.
+    * The features that share an AGG are normalized, tagged and unioned, so
+    * the plan holds one window and one `GROUP BY (cand, k)` per distinct AGG,
+    * not one per feature; the aggregate reads only the kept rows, and the
+    * window's `cand` partitioning, with no shuffle of its own. A shared
+    * aggregate mixing AGGs would not do: MODE's sort-based fallback would
+    * then read every feature's rows. The aggregate groups by hkey and hu as
+    * well, which depend on k alone, so each branch hashes its rows once.
+    * `dense_rank` numbers distinct (hu, hkey): two keys colliding on both
+    * hashes would both be kept, where a `row_number` over the aggregated keys
+    * kept an arbitrary one at the n-th place.
     */
   def index(features: Seq[Featurize.Feature], conf: SketchConf): DataFrame = {
     require(features.nonEmpty, "an index needs at least one candidate")
     val byHash = Window.partitionBy("cand").orderBy(col("hu"), col("hkey"))
-    def leastKeys(rows: DataFrame): DataFrame =
-      rows.withColumn("hkey", Hashing.hkey(col("k"))).withColumn("hu", keyHash)
+    val tagged = features.zipWithIndex
+    features.map(_.agg).distinct.map { agg =>
+      val kept = tagged.collect { case (f, i) if f.agg == agg => Featurize.normalize(f).withColumn("cand", lit(i)) }
+        .reduce(_ unionByName _)
+        .withColumn("hkey", Hashing.hkey(col("k"))).withColumn("hu", keyHash)
         .withColumn("rank", dense_rank().over(byHash))
         .filter(col("rank") <= conf.n)
-    Featurize.aggregateAll(features, leastKeys, "hkey", "hu")
-      .select("hkey", "hu", "vNum", "vStr", "cand")
+      Featurize.aggregateBy(kept, agg, "cand", "k", "hkey", "hu")
+    }.reduce(_ unionByName _).select("hkey", "hu", "vNum", "vStr", "cand")
   }
 }

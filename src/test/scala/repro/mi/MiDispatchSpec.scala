@@ -39,6 +39,17 @@ class MiDispatchSpec extends AnyFunSuite {
     assert(!MI.estimate(EstimatorKind.MLE, strs(1), strs(1)).isNaN)
   }
 
+  test("k-NN estimators reject a column they cannot use, naming the estimator and both types") {
+    val mixed = intercept[IllegalArgumentException](MI.estimate(EstimatorKind.MixedKSG, strs(10), nums(10)))
+    assert(mixed.getMessage.contains("MixedKSG") && mixed.getMessage.contains("StrCol")
+      && mixed.getMessage.contains("NumCol"))
+    val dc = intercept[IllegalArgumentException](MI.estimate(EstimatorKind.DCKSG, strs(10), strs(10)))
+    assert(dc.getMessage.contains("DC-KSG") && dc.getMessage.contains("StrCol"))
+    // The size rule comes first: a sample below minSize is NaN whatever its types.
+    assert(MI.estimate(EstimatorKind.MixedKSG, strs(4), nums(4)).isNaN)
+    assert(MI.estimate(EstimatorKind.DCKSG, strs(4), strs(4)).isNaN)
+  }
+
   test("MLE works through the dispatcher on strings and on numerics") {
     val x = StrCol(Array("a", "a", "b", "b"))
     assert(MI.estimate(EstimatorKind.MLE, x, x) > 0.69)
@@ -64,7 +75,9 @@ class MiDispatchSpec extends AnyFunSuite {
   }
 
   test("estimator kinds expose stable names") {
-    assert(EstimatorKind.all.map(_.name) == Seq("MLE", "MixedKSG", "DC-KSG"))
+    assert(EstimatorKind.MLE.name == "MLE")
+    assert(EstimatorKind.MixedKSG.name == "MixedKSG")
+    assert(EstimatorKind.DCKSG.name == "DC-KSG")
   }
 
   test("ColData reports size and type") {

@@ -1,6 +1,7 @@
 package repro.stats
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.stats.LogGamma.logGamma
 import repro.stats.SpecialFunctions._
 
 class SpecialFunctionsSpec extends AnyFunSuite {

@@ -86,8 +86,8 @@ class StatsPropertySpec extends AnyFunSuite {
 
   test("logGamma convexity: midpoint below average (property)") {
     check(Prop.forAll(Gen.chooseNum(0.1, 100.0), Gen.chooseNum(0.1, 100.0)) { (a, b) =>
-      val mid = SpecialFunctions.logGamma((a + b) / 2)
-      mid <= (SpecialFunctions.logGamma(a) + SpecialFunctions.logGamma(b)) / 2 + 1e-9
+      val mid = LogGamma.logGamma((a + b) / 2)
+      mid <= (LogGamma.logGamma(a) + LogGamma.logGamma(b)) / 2 + 1e-9
     })
   }
 }
